@@ -1,6 +1,6 @@
 """Regenerate ``references.json``: the outcome every checked seed must give.
 
-    python3 perfbench/make_references.py [--fresh-seeds 400]
+    python3 perfbench/make_references.py
 
 Records, per simulation seed, the ``BrakeRunResult.outcome_digest()``
 and the Figure 5 error prevalence of a local ``run_scenario_spec``:
@@ -8,10 +8,11 @@ and the Figure 5 error prevalence of a local ``run_scenario_spec``:
 * every seed of the brake pool, for both variants (the brake workloads
   draw only from this pool, so every brake seed of every workload seed
   is checked);
-* the seeds the campaign workloads draw at the default workload seed
-  (``campaign_fresh`` draws new seeds without end, so only the first
-  ``--fresh-seeds`` are covered; later seeds and other workload seeds
-  are still checked against a local run and, being DEAR, the oracle).
+* the seeds the campaign workloads draw at the default workload seed.
+  ``campaign_fresh`` draws new seeds without end, so its first
+  ``FRESH_REFERENCE_SEEDS`` are covered; a run at the default workload
+  seed that draws more fails its check.  Seeds at other workload seeds
+  are still checked against a local run and, being DEAR, the oracle.
 
 Rerun it only when a change is *meant* to alter simulated outcomes, and
 say so in the change: the references are what catch schedules that a
@@ -20,13 +21,13 @@ speed-up changed by accident.
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 
 from workload import (
     BRAKE_POOL,
     CACHED_POOL,
+    FRESH_REFERENCE_SEEDS,
     REFERENCES,
     brake_spec,
     campaign_spec,
@@ -48,16 +49,13 @@ def table(spec, seeds) -> tuple[str, dict]:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--fresh-seeds", type=int, default=400)
-    args = parser.parse_args()
     results = {}
     for variant in ("det", "nondet"):
         key, rows = table(brake_spec(variant), range(BRAKE_POOL))
         results[key] = rows
     # Each stream's first seed is the untimed warm-up seed.
     campaign_seeds = list(itertools.islice(
-        distinct_seeds(DEFAULT_SEED, "campaign_fresh"), 1 + args.fresh_seeds
+        distinct_seeds(DEFAULT_SEED, "campaign_fresh"), 1 + FRESH_REFERENCE_SEEDS
     ))
     campaign_seeds += itertools.islice(
         distinct_seeds(DEFAULT_SEED, "campaign_cached"), 1 + CACHED_POOL

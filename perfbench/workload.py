@@ -52,6 +52,7 @@ from repro.obs.metrics import aggregate_snapshots, percentile  # noqa: E402
 from repro.service.http import LocalService, seed_outcomes  # noqa: E402
 from repro.service.store import spec_record_key  # noqa: E402
 
+from calibrate import Calibrator  # noqa: E402
 from layers import LAYERS, LayerMap, ThreadProfiler  # noqa: E402
 
 IMPORT_S = time.perf_counter() - T0
@@ -62,6 +63,11 @@ WORKLOADS = ("brake_dear", "brake_stock", "campaign_fresh", "campaign_cached")
 BRAKE_FRAMES = 300
 #: Brake seeds are drawn from this pool, so every one has a reference.
 BRAKE_POOL = 48
+#: campaign_fresh seeds with a committed reference at the default
+#: workload seed (make_references.py).  A 10 s run draws about 250, so
+#: this leaves room for a program eight times faster; a run that draws
+#: more fails its check rather than go unchecked.
+FRESH_REFERENCE_SEEDS = 2000
 #: Frames per seed and seeds per campaign of the campaign workloads.
 CAMPAIGN_FRAMES = 30
 CAMPAIGN_SEEDS = 8
@@ -76,11 +82,11 @@ CACHED_POOL = 16
 CACHED_RECORDS = 20_000
 #: Time metrics are host time scaled to a box whose calibration loop
 #: runs at this rate (the reference box's median), measured right
-#: before and after every timed operation: the shared host's speed
-#: drifts by tens of percent within minutes, and the scaling cancels
-#: most of that drift.  Host-time values are in the result file too.
+#: before and after every timed operation while this process is stopped
+#: (calibrate.py says why): the shared host's speed drifts by tens of
+#: percent within minutes, and the scaling cancels most of that drift.
+#: Host-time values are in the result file too.
 REFERENCE_LOOPS_PER_S = 12.0e6
-CALIBRATION_LOOPS = 100_000
 #: Set-up is repeated this often per run; setup_s reports the median.
 SETUP_REPS = 3
 #: Share of --seconds the traced run spends on its untraced pass; the
@@ -153,10 +159,16 @@ def campaign_spec(seeds=(0,), observe: bool = False) -> ScenarioSpec:
 
 
 class Checker:
-    """Per-seed output checks against the committed references."""
+    """Per-seed output checks against the committed references.
 
-    def __init__(self, references: dict):
-        self.references = references
+    At the default workload seed every seed must have a reference; at
+    other workload seeds, seeds outside the brake pool have none and get
+    the oracle and distributed == local checks only.
+    """
+
+    def __init__(self, references: dict, workload_seed: int):
+        self.references = references["results"]
+        self.require_reference = workload_seed == references["default_seed"]
         self._oracles: dict = {}
         self.problems: list[str] = []
         self.checked_digests = 0
@@ -179,7 +191,12 @@ class Checker:
         """True when *value* is a correct result of *seed* under *spec*."""
         problems = []
         ref = self._reference(spec, seed)
-        if ref is not None:
+        if ref is None and self.require_reference:
+            problems.append(
+                "no committed reference at the default workload seed "
+                "(raise FRESH_REFERENCE_SEEDS and rerun make_references.py)"
+            )
+        elif ref is not None:
             self.checked_digests += 1
             if value.outcome_digest() != ref["digest"]:
                 problems.append("outcome digest differs from reference")
@@ -341,24 +358,19 @@ class CampaignWorkload:
         code_fingerprint()
         self.checker.oracle(campaign_spec().scenario)
         self.store_dir = workdir / f"store-{rep}"
-        self.start_service(SERVICE_WORKERS)
+        self.start_service()
         # Untimed warm-up: one seed (campaign_fresh) or the whole pool of
         # real results (campaign_cached) computed through the service.
         seeds = self.pool if self.cached else [self.warmup_seed]
         self.service.run_spec(campaign_spec(seeds), timeout_s=120)
         if self.cached:
             self._prefill()
-            self.stop_service()
-            self.start_service()
 
-    def start_service(self, workers: int | None = None) -> None:
-        if workers is None:
-            # Store hits create no jobs, so campaign_cached measures with
-            # no workers: idle workers' lease polls scan every campaign
-            # ever submitted, and that cost grows through the run
-            # (README, Findings) instead of measuring the store.
-            workers = 0 if self.cached else SERVICE_WORKERS
-        self.service = LocalService(self.store_dir, workers=workers)
+    def start_service(self) -> None:
+        # campaign_cached creates no jobs, but keeps its workers: a
+        # deployed service always has them, and their lease polls are
+        # part of what a store hit costs.
+        self.service = LocalService(self.store_dir, workers=SERVICE_WORKERS)
 
     def stop_service(self) -> None:
         if self.service is not None:
@@ -477,18 +489,19 @@ class Tally:
 
 
 def run_ops(workload, tally: Tally, ops=None, seconds: float = 0.0,
-            unchecked: list | None = None, calibrate: bool = False) -> Tally:
+            unchecked: list | None = None,
+            calibrator: Calibrator | None = None) -> Tally:
     """Run *ops* (or new ops until *seconds* of busy time), timing each.
 
     Every operation's outputs are checked right after it, outside its
     timing — or, given an *unchecked* list, collected there for
     :func:`check_later`.  An operation that raises counts all its seeds
-    as failed.  With *calibrate*, the box's speed is sampled between
+    as failed.  With a *calibrator*, the box's speed is sampled between
     operations into ``tally.speeds``.  While ``workload.spans`` is set,
     every operation is recorded as a span.
     """
     source = iter(ops) if ops is not None else None
-    rate = loops_per_s() if calibrate else 0.0
+    rate = calibrator.loops_per_s() if calibrator else 0.0
     while True:
         if source is not None:
             op = next(source, None)
@@ -506,8 +519,8 @@ def run_ops(workload, tally: Tally, ops=None, seconds: float = 0.0,
             workload.checker.note(f"op {op}: {type(error).__name__}: {error}")
         end = time.perf_counter()
         tally.latencies.append(end - start)
-        if calibrate:
-            after = loops_per_s()
+        if calibrator:
+            after = calibrator.loops_per_s()
             tally.speeds.append((rate + after) / 2 / REFERENCE_LOOPS_PER_S)
             rate = after
         tally.ops.append(op)
@@ -547,21 +560,6 @@ def observe_seeds(workload, seeds: list, tally: Tally) -> list[dict]:
     return snapshots
 
 
-def calibration_loop(n: int) -> int:
-    """A fixed pure-Python loop whose rate measures the interpreter's
-    speed on this box at this moment, independent of the program."""
-    total = 0
-    for i in range(n):
-        total += i * i % 7
-    return total
-
-
-def loops_per_s(n: int = CALIBRATION_LOOPS) -> float:
-    start = time.perf_counter()
-    calibration_loop(n)
-    return n / (time.perf_counter() - start)
-
-
 def median_or_zero(values) -> float:
     return statistics.median(values) if values else 0.0
 
@@ -570,27 +568,29 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def setup_phase(workload, workdir: Path, reps: int) -> tuple[float, float]:
+def setup_phase(workload, workdir: Path, reps: int,
+                calibrator: Calibrator) -> tuple[float, float]:
     """Set up *reps* times; returns imports + the median set-up time,
     in host seconds and in reference seconds."""
     times, scaled = [], []
-    speed = loops_per_s() / REFERENCE_LOOPS_PER_S
+    speed = calibrator.loops_per_s() / REFERENCE_LOOPS_PER_S
     import_scaled = IMPORT_S * speed
     for rep in range(reps):
         start = time.perf_counter()
         workload.setup(rep, workdir)
         times.append(time.perf_counter() - start)
-        after = loops_per_s() / REFERENCE_LOOPS_PER_S
+        after = calibrator.loops_per_s() / REFERENCE_LOOPS_PER_S
         scaled.append(times[-1] * (speed + after) / 2)
         speed = after
     return (IMPORT_S + statistics.median(times),
             import_scaled + statistics.median(scaled))
 
 
-def measure(workload, seconds: float, workdir: Path) -> tuple[dict, dict, Tally]:
+def measure(workload, seconds: float, workdir: Path,
+            calibrator: Calibrator) -> tuple[dict, dict, Tally]:
     """The untraced run: end-to-end metrics plus extra statistics."""
-    setup_host_s, setup_s = setup_phase(workload, workdir, SETUP_REPS)
-    tally = run_ops(workload, Tally(), seconds=seconds, calibrate=True)
+    setup_host_s, setup_s = setup_phase(workload, workdir, SETUP_REPS, calibrator)
+    tally = run_ops(workload, Tally(), seconds=seconds, calibrator=calibrator)
     frames_per_op = workload.seeds_per_op * workload.frames_per_seed
 
     def e2e(latencies: list, setup: float) -> dict:
@@ -630,7 +630,7 @@ def trace(workload, seconds: float, workdir: Path, spans: Spans) -> tuple:
     counting nor the obs code paths inflate B's self times.
     """
     campaign = isinstance(workload, CampaignWorkload)
-    setup_phase(workload, workdir, 1)
+    workload.setup(0, workdir)
     base = run_ops(workload, Tally(), seconds=seconds * TRACE_BASE_SHARE)
 
     def same_work() -> list:
@@ -842,9 +842,9 @@ def unit_of(name: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def calibration_loops_per_s() -> float:
+def calibration_loops_per_s(calibrator: Calibrator) -> float:
     """The calibration rate of this box: median of five samples."""
-    return statistics.median(loops_per_s(200_000) for _ in range(5))
+    return statistics.median(calibrator.loops_per_s(200_000) for _ in range(5))
 
 
 def git_commit() -> str | None:
@@ -861,7 +861,7 @@ def git_commit() -> str | None:
     return None
 
 
-def provenance(workload_seed: int) -> dict:
+def provenance(workload_seed: int, calibrator: Calibrator) -> dict:
     return {
         "code_fingerprint": code_fingerprint(),
         "git_commit": git_commit(),
@@ -870,7 +870,7 @@ def provenance(workload_seed: int) -> dict:
         "machine": platform.machine(),
         "nproc": os.cpu_count(),
         "default_workers": default_workers(),
-        "calibration_loops_per_s": calibration_loops_per_s(),
+        "calibration_loops_per_s": calibration_loops_per_s(calibrator),
         "workload_seed": workload_seed,
         "env": {k: v for k, v in sorted(os.environ.items()) if k.startswith("REPRO_")},
     }
@@ -889,23 +889,26 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
-    references = json.loads(REFERENCES.read_text())
-    checker = Checker(references["results"])
+    checker = Checker(json.loads(REFERENCES.read_text()), args.seed)
     workload = make_workload(args.workload, args.seed, checker)
     workdir = WORK_DIR / f"{args.workload}-{os.getpid()}"
     workdir.mkdir(parents=True, exist_ok=True)
     spans = Spans()
-    try:
-        if args.trace:
-            metrics, extra, attempted, failed = trace(
-                workload, args.seconds, workdir, spans
-            )
-        else:
-            metrics, extra, tally = measure(workload, args.seconds, workdir)
-            attempted, failed = tally.attempted, tally.failed
-    finally:
-        workload.close()
-        shutil.rmtree(workdir, ignore_errors=True)
+    with Calibrator() as calibrator:
+        try:
+            if args.trace:
+                metrics, extra, attempted, failed = trace(
+                    workload, args.seconds, workdir, spans
+                )
+            else:
+                metrics, extra, tally = measure(
+                    workload, args.seconds, workdir, calibrator
+                )
+                attempted, failed = tally.attempted, tally.failed
+        finally:
+            workload.close()
+            shutil.rmtree(workdir, ignore_errors=True)
+        machine = provenance(args.seed, calibrator)
 
     RESULTS_DIR.mkdir(exist_ok=True)
     stem = f"{args.workload}-seed{args.seed}-trace{args.trace}"
@@ -938,7 +941,7 @@ def main(argv=None) -> int:
             ),
             "problems": problems,
         },
-        "provenance": provenance(args.seed),
+        "provenance": machine,
     }
     (RESULTS_DIR / f"{stem}.json").write_text(json.dumps(full, indent=2) + "\n")
     # What the result object cannot carry, for the reader of the run.
