@@ -4,8 +4,11 @@ Measures the three surfaces of the distributed sweep service
 (``repro.service``) and records them to ``BENCH_service.json``:
 
 * ``store_put_per_s`` / ``store_get_per_s`` — content-addressed
-  result-store append and lookup throughput (the shared-filesystem
-  hot path: one fcntl-locked fsync'd write per append);
+  result-store put and lookup throughput (one durable sqlite
+  transaction per put, one indexed lookup per get);
+* ``store_get_10k_per_s`` — lookups in a fixed 10 000-record store
+  filled by one ``put_records``: an indexed get rate does not fall as
+  the store grows;
 * ``queue_jobs_per_s`` — coordinator lease/complete round-trips per
   second with a stub executor, isolating pure queue overhead from
   simulation cost;
@@ -67,6 +70,19 @@ def test_service(show, bench_json, tmp_path):
         assert store.get(key) is not None
     get_wall = time.perf_counter() - started
 
+    # -- lookups in a large store ---------------------------------------------
+    big = ResultStore(tmp_path / "store-10k")
+    big_keys = [f"{index:032x}" for index in range(10_000)]
+    big.put_records(
+        big.make_record(key, index, {"seed": index, "value": [index] * 8})
+        for index, key in enumerate(big_keys)
+    )
+    probes = big_keys[:: len(big_keys) // 200]
+    started = time.perf_counter()
+    for key in probes:
+        assert big.get(key) is not None
+    big_get_wall = time.perf_counter() - started
+
     # -- queue throughput (stub executor: pure coordinator overhead) ---------
     config = CoordinatorConfig(chunk_size=1)
     coordinator = Coordinator(ResultStore(tmp_path / "queue-bench"), config)
@@ -115,6 +131,7 @@ def test_service(show, bench_json, tmp_path):
         store_records=store_records,
         store_put_per_s=round(store_records / put_wall, 2),
         store_get_per_s=round(store_records / get_wall, 2),
+        store_get_10k_per_s=round(len(probes) / big_get_wall, 2),
         queue_jobs=queue_jobs,
         queue_jobs_per_s=round(queue_jobs / queue_wall, 2),
         campaign_seeds=len(seeds),
@@ -127,7 +144,8 @@ def test_service(show, bench_json, tmp_path):
     show(
         "sweep service: "
         f"store {store_records / put_wall:,.0f} put/s, "
-        f"{store_records / get_wall:,.0f} get/s | "
+        f"{store_records / get_wall:,.0f} get/s "
+        f"({len(probes) / big_get_wall:,.0f} get/s at 10k) | "
         f"queue {queue_jobs / queue_wall:,.0f} jobs/s | "
         f"campaign {len(seeds) / campaign_wall:.1f} seeds/s "
         f"(distributed == local: {equals_local}) | "

@@ -21,9 +21,12 @@ Usage::
 Every subcommand runs the corresponding experiment driver and prints
 the text rendering of the paper figure/table it reproduces.  Sweeps run
 in parallel on a process pool (``--workers``, ``REPRO_WORKERS``,
-default: all cores) and cache per-seed results under ``.repro_cache/``
+default: all cores) and cache per-seed results in one sqlite file,
+``.repro_cache/results.sqlite`` (``--cache-dir``, ``REPRO_CACHE_DIR``),
 so repeated invocations only pay for what changed; a throughput summary
-(seeds/s, cache hits) is printed to stderr after each run.
+(seeds/s, cache hits) is printed to stderr after each run.  ``repro
+serve`` keeps campaign results in the same kind of store under
+``--store-dir``.
 """
 
 from __future__ import annotations

@@ -9,11 +9,13 @@ sequential single-worker run — each seed
 builds its own :class:`~repro.sim.World`, so per-seed results (including
 trace fingerprints) do not depend on scheduling across seeds.
 
-Results are cached on disk as JSON lines under ``.repro_cache/`` (one
-file per experiment), keyed by experiment name + parameters + seed +
+Results are cached on disk in a :class:`ResultStore`, one sqlite file
+under ``.repro_cache/``, keyed by experiment name + parameters + seed +
 a fingerprint of the ``repro`` source tree, so repeated CLI/benchmark
 invocations skip already-computed seeds.  ``force=True`` recomputes and
-overwrites; ``use_cache=False`` bypasses the cache entirely.
+overwrites; ``use_cache=False`` bypasses the cache entirely.  The sweep
+service (:mod:`repro.service`) keeps its campaign results in the same
+class.
 
 Environment knobs:
 
@@ -34,11 +36,12 @@ import json
 import math
 import os
 import pickle
+import sqlite3
 import sys
 import time
 import traceback
-import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from pathlib import Path
@@ -47,12 +50,8 @@ from typing import Any, Callable, Iterable, Sequence
 from repro.harness.runner import env_int
 from repro.obs import fleet
 
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None  # type: ignore[assignment]
-
 __all__ = [
+    "ResultStore",
     "SweepRunner",
     "SweepResult",
     "SeedOutcome",
@@ -263,12 +262,12 @@ class SweepStats:
 
 
 # ---------------------------------------------------------------------------
-# The on-disk cache.
+# The result store.
 # ---------------------------------------------------------------------------
 
 
 def _encode_value(value: Any) -> tuple[str, Any]:
-    """Encode a result for a JSON-lines record.
+    """Encode a result for a store record.
 
     Values that survive an exact JSON round-trip are stored as plain
     JSON; everything else (dataclasses, Counters, int-keyed dicts —
@@ -301,139 +300,158 @@ def _jsonable_seed(seed: Any) -> Any:
     return repr(seed)
 
 
-class _FileLock:
-    """``fcntl`` advisory lock on a ``<file>.lock`` sidecar.
+class ResultStore:
+    """Content-addressed result records in one sqlite file.
 
-    Locking a sidecar (not the data file itself) lets compaction-style
-    maintenance atomically replace the data file while holding the
-    lock.  Degrades to a no-op where ``fcntl`` is unavailable.
+    The sweep engine's cache and the sweep service's shared store are
+    this one class.  Every record lives in one table of a WAL-mode
+    database, ``<directory>/results.sqlite``, keyed by ``key``, and
+    reads back as::
+
+        {"key": ..., "seed": ..., "encoding": "json"|"pickle",
+         "payload": ..., "code": <code fingerprint>}
+
+    ``seed`` and ``payload`` are stored as JSON text.  Each write is one
+    ``BEGIN IMMEDIATE`` transaction made durable before it returns
+    (``PRAGMA synchronous=FULL``): a writer killed mid-batch leaves all
+    of the batch or none of it, and concurrent writers wait on the busy
+    timeout instead of failing.  ``INSERT OR REPLACE`` makes later
+    writes win.  A row whose payload no longer decodes is a miss.
+
+    Every call opens and closes its own connection, so one instance is
+    safe across threads and no connection crosses a ``fork``.  The file
+    is created by the first put; until then the store reads as empty.
+    A file that is not a database raises rather than reading as empty.
+    WAL needs shared memory, so every process using one store must run
+    on the same host.
     """
 
-    def __init__(self, target: Path, shared: bool = False):
-        self.path = target.with_name(target.name + ".lock")
-        self.shared = shared
-        self._handle = None
-
-    def __enter__(self) -> "_FileLock":
-        if fcntl is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.path.open("a")
-            mode = fcntl.LOCK_SH if self.shared else fcntl.LOCK_EX
-            fcntl.flock(self._handle, mode)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self._handle is not None:
-            fcntl.flock(self._handle, fcntl.LOCK_UN)
-            self._handle.close()
-            self._handle = None
-
-
-def _tail_is_torn(path: Path) -> bool:
-    """True when *path* ends in a partial (unterminated) JSONL line —
-    the signature of a writer that crashed mid-append."""
-    try:
-        size = path.stat().st_size
-    except OSError:
-        return False
-    if size == 0:
-        return False
-    with path.open("rb") as handle:
-        handle.seek(-1, os.SEEK_END)
-        return handle.read(1) != b"\n"
-
-
-class ResultCache:
-    """JSON-lines result store: one ``<experiment>.jsonl`` per sweep.
-
-    Records are append-only; on load, later records win, so ``force``
-    reruns simply shadow stale entries.  Appends from concurrent
-    processes are serialized by an ``fcntl`` advisory lock and written
-    as a single ``write()``, so records never interleave; a torn
-    trailing line left by a crashed writer is skipped (and reported via
-    :attr:`malformed`) on load and terminated before the next append,
-    so one crash damages at most its own half-written record.
-    """
+    FILENAME = "results.sqlite"
+    #: seconds a writer waits for another writer's transaction.
+    _BUSY_TIMEOUT_S = 60.0
+    _SCHEMA = (
+        "CREATE TABLE IF NOT EXISTS results (key TEXT PRIMARY KEY, "
+        "seed TEXT, encoding TEXT NOT NULL, payload TEXT NOT NULL, code TEXT)"
+    )
+    #: keys per ``IN (...)`` lookup, below sqlite's bound-variable limit.
+    _BATCH = 500
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
-        #: malformed line count per cache file seen on the last load.
-        self.malformed: dict[str, int] = {}
-        self._warned: set[str] = set()
+        self.path = self.directory / self.FILENAME
 
-    def _path(self, experiment: str) -> Path:
-        safe = "".join(
-            ch if ch.isalnum() or ch in "-._" else "_" for ch in experiment
+    def _connect(self) -> sqlite3.Connection:
+        return sqlite3.connect(
+            self.path, timeout=self._BUSY_TIMEOUT_S, isolation_level=None
         )
-        return self.directory / f"{safe}.jsonl"
 
-    def load(self, experiment: str) -> dict[str, dict]:
-        """All valid records of *experiment*, keyed by cache key."""
-        path = self._path(experiment)
-        records: dict[str, dict] = {}
-        if not path.exists():
-            return records
-        with _FileLock(path, shared=True):
+    def _select(self, sql: str, params: Sequence = ()) -> list[tuple]:
+        """Rows of a read query; a store never written has none."""
+        if not self.path.exists():
+            return []
+        with closing(self._connect()) as db:
             try:
-                data = path.read_bytes()
-            except OSError:
-                return records
-        malformed = 0
-        for line in data.split(b"\n"):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                records[record["key"]] = record
-            except (ValueError, KeyError, TypeError):
-                malformed += 1  # torn/corrupt line: miss, but reported
-        if malformed:
-            self.malformed[path.name] = malformed
-            if path.name not in self._warned:
-                self._warned.add(path.name)
-                warnings.warn(
-                    f"result cache {path}: skipped {malformed} malformed "
-                    f"record(s) (torn line from a crashed append?); they "
-                    f"will be recomputed",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        else:
-            self.malformed.pop(path.name, None)
+                return db.execute(sql, params).fetchall()
+            except sqlite3.OperationalError as exc:
+                # created by a writer that has not committed its table yet
+                if "no such table" in str(exc):
+                    return []
+                raise
+
+    # -- reading -------------------------------------------------------------
+
+    def get(self, key: str) -> dict | None:
+        """The record for *key*, or ``None``."""
+        return self.get_many([key]).get(key)
+
+    def get_many(self, keys: Iterable[str]) -> dict[str, dict]:
+        """Records for *keys*; absent or undecodable keys are omitted."""
+        keys = list(keys)
+        found: dict[str, dict] = {}
+        for start in range(0, len(keys), self._BATCH):
+            batch = keys[start : start + self._BATCH]
+            rows = self._select(
+                "SELECT key, seed, encoding, payload, code FROM results "
+                f"WHERE key IN ({','.join('?' * len(batch))})",
+                batch,
+            )
+            for key, seed, encoding, payload, code in rows:
+                try:
+                    seed, payload = json.loads(seed), json.loads(payload)
+                except (TypeError, ValueError):
+                    continue  # a miss: the recompute replaces the row
+                found[key] = {
+                    "key": key,
+                    "seed": seed,
+                    "encoding": encoding,
+                    "payload": payload,
+                    "code": code,
+                }
         f = fleet.ACTIVE
         if f.enabled:
-            f.inc("fleet.result_cache.loads")
-            f.inc("fleet.result_cache.records_loaded", len(records))
-            if malformed:
-                f.inc("fleet.result_cache.malformed_lines", malformed)
-        return records
-
-    def append(self, experiment: str, records: Iterable[dict]) -> None:
-        records = list(records)
-        if not records:
-            return
-        self.directory.mkdir(parents=True, exist_ok=True)
-        path = self._path(experiment)
-        blob = "".join(
-            json.dumps(record) + "\n" for record in records
-        ).encode()
-        f = fleet.ACTIVE
-        with _FileLock(path):
-            with path.open("ab") as handle:
-                if _tail_is_torn(path):
-                    handle.write(b"\n")  # repair a crashed writer's tail
-                    if f.enabled:
-                        f.inc("fleet.result_cache.torn_repairs")
-                handle.write(blob)
-                handle.flush()
-                os.fsync(handle.fileno())
-        if f.enabled:
-            f.inc("fleet.result_cache.appends", len(records))
+            f.inc("fleet.result_store.gets", len(keys))
+            f.inc("fleet.result_store.hits", len(found))
+            f.inc("fleet.result_store.misses", len(keys) - len(found))
+        return found
 
     def fetch(self, record: dict) -> Any:
         """Decode a record's payload (raises on a corrupt payload)."""
         return _decode_value(record["encoding"], record["payload"])
+
+    def stats(self) -> dict:
+        """``{"records": <rows in the store>}``."""
+        rows = self._select("SELECT COUNT(*) FROM results")
+        return {"records": rows[0][0] if rows else 0}
+
+    # -- writing -------------------------------------------------------------
+
+    @staticmethod
+    def make_record(key: str, seed: Any, value: Any) -> dict:
+        encoding, payload = _encode_value(value)
+        return {
+            "key": key,
+            "seed": seed,
+            "encoding": encoding,
+            "payload": payload,
+            "code": code_fingerprint(),
+        }
+
+    def put(self, key: str, seed: Any, value: Any) -> dict:
+        """Encode and store one result; returns the stored record."""
+        record = self.make_record(key, seed, value)
+        self.put_records([record])
+        return record
+
+    def put_records(self, records: Iterable[dict]) -> None:
+        """Store pre-built records in one durable transaction.
+
+        *records* is consumed inside the transaction; closing the
+        connection before ``COMMIT`` (an exception, or the process dying)
+        rolls the whole batch back.
+        """
+        rows = (
+            (
+                record["key"],
+                json.dumps(record["seed"]),
+                record["encoding"],
+                json.dumps(record["payload"]),
+                record.get("code"),
+            )
+            for record in records
+        )
+        self.directory.mkdir(parents=True, exist_ok=True)
+        with closing(self._connect()) as db:
+            db.execute("PRAGMA journal_mode=WAL")
+            db.execute("PRAGMA synchronous=FULL")
+            db.execute("BEGIN IMMEDIATE")
+            db.execute(self._SCHEMA)
+            stored = db.executemany(
+                "INSERT OR REPLACE INTO results VALUES (?, ?, ?, ?, ?)", rows
+            ).rowcount
+            db.execute("COMMIT")
+        f = fleet.ACTIVE
+        if f.enabled:
+            f.inc("fleet.result_store.puts", stored)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +502,7 @@ class SweepRunner:
         directory = cache_dir or os.environ.get(
             "REPRO_CACHE_DIR", DEFAULT_CACHE_DIR
         )
-        self.cache = ResultCache(directory)
+        self.cache = ResultStore(directory)
         self.stats = SweepStats()
 
     # -- keying -------------------------------------------------------------
@@ -527,10 +545,11 @@ class SweepRunner:
 
         driver = driver_fingerprint(experiment)
         keys = [self._key(name, params, seed, driver) for seed in seeds]
-        known = self.cache.load(name) if self.use_cache else {}
+        reuse = self.use_cache and not self.force
+        known = self.cache.get_many(keys) if reuse else {}
         pending: list[int] = []
         for index, (seed, key) in enumerate(zip(seeds, keys)):
-            record = None if self.force else known.get(key)
+            record = known.get(key)
             if record is not None:
                 try:
                     value = self.cache.fetch(record)
@@ -573,22 +592,15 @@ class SweepRunner:
                         outcomes[index] = SeedOutcome(
                             seeds[index], value, error, elapsed_s=elapsed
                         )
-            if self.use_cache:
-                fresh = []
-                for index in pending:
-                    outcome = outcomes[index]
-                    if not outcome.ok:
-                        continue
-                    encoding, payload = _encode_value(outcome.value)
-                    fresh.append(
-                        {
-                            "key": keys[index],
-                            "seed": _jsonable_seed(outcome.seed),
-                            "encoding": encoding,
-                            "payload": payload,
-                        }
-                    )
-                self.cache.append(name, fresh)
+            fresh = [
+                self.cache.make_record(
+                    keys[index], _jsonable_seed(seeds[index]), outcomes[index].value
+                )
+                for index in pending
+                if self.use_cache and outcomes[index].ok
+            ]
+            if fresh:
+                self.cache.put_records(fresh)
 
         result = SweepResult(
             name=name,

@@ -5,11 +5,11 @@ this package turns sweeps into *campaigns* served by a shared worker
 fleet, the workload shape of the paper's evaluation (100k-frame ×
 20-run sweeps) run as heavy-traffic infrastructure:
 
-* :mod:`repro.service.store` — a content-addressed result store
-  generalizing the JSONL sweep cache: records keyed on
-  spec-hash × code-fingerprint, advisory-locked atomic appends safe for
-  concurrent writers, torn-line tolerance and compaction, so a
-  re-submitted campaign is a pure cache hit across hosts.
+* :mod:`repro.service.store` — content addressing for campaign
+  results: records keyed on spec-hash × code-fingerprint in the sweep
+  cache's sqlite :class:`~repro.harness.sweep.ResultStore`, which lives
+  on the coordinator's host, so a re-submitted campaign is a pure cache
+  hit however it is chunked or named.
 * :mod:`repro.service.coordinator` — accepts
   :class:`~repro.harness.ScenarioSpec` campaign submissions, shards
   them into per-seed-chunk jobs and runs the job queue: lease/heartbeat

@@ -20,7 +20,8 @@ The coordinator owns every campaign's lifecycle:
 4. **Merge.** Completed outcomes land at their seed's position, so the
    finished campaign reads back in seed order — byte-identical to
    ``SweepRunner.run_spec`` on one host, however the jobs were
-   scattered.
+   scattered.  Payloads go to the store on completion and are read
+   back from it for the result; campaigns keep none in memory.
 
 The coordinator is a plain thread-safe object: the HTTP layer
 (:mod:`repro.service.http`) is a veneer over these methods, and tests
@@ -36,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.harness.config import ScenarioSpec
+from repro.harness.sweep import code_fingerprint
 from repro.obs import fleet
 from repro.service.store import ResultStore, spec_record_key
 
@@ -139,7 +141,8 @@ class Campaign:
     spec: ScenarioSpec
     keys: list[str]
     submitted_at: float
-    #: wire outcomes, one slot per seed position; ``None`` = pending.
+    #: wire outcomes without payloads, one slot per seed position;
+    #: ``None`` = pending.
     outcomes: list[dict | None] = field(default_factory=list)
     jobs: list[str] = field(default_factory=list)
     completed_at: float | None = None
@@ -159,24 +162,17 @@ class Campaign:
 
 
 def _campaign_outcome(
-    seed: Any,
-    *,
-    encoding: str | None = None,
-    payload: Any = None,
-    error: str | None = None,
-    cached: bool = False,
-    elapsed_s: float = 0.0,
-    worker: str | None = None,
+    seed: Any, *, error: str | None = None, cached: bool = False
 ) -> dict:
-    """A ``SeedOutcome``-compatible wire outcome."""
+    """A ``SeedOutcome``-compatible wire outcome, its payload not filled."""
     return {
         "seed": seed,
-        "encoding": encoding,
-        "payload": payload,
+        "encoding": None,
+        "payload": None,
         "error": error,
         "cached": cached,
-        "elapsed_s": elapsed_s,
-        "worker": worker,
+        "elapsed_s": 0.0,
+        "worker": None,
     }
 
 
@@ -194,7 +190,9 @@ class Coordinator:
         self.clock = clock
         self._lock = threading.RLock()
         self._campaigns: dict[str, Campaign] = {}
-        self._campaign_order: list[str] = []
+        #: campaigns with pending or leased jobs, in submission order
+        #: (an insertion-ordered set): all that lease and reap walk.
+        self._open_campaigns: dict[str, Campaign] = {}
         self._jobs: dict[str, Job] = {}
         self._workers: dict[str, dict] = {}
         self._counter = 0
@@ -263,12 +261,7 @@ class Coordinator:
             for position, (seed, key) in enumerate(zip(spec.seeds, keys)):
                 record = known.get(key)
                 if record is not None:
-                    campaign.outcomes[position] = _campaign_outcome(
-                        seed,
-                        encoding=record["encoding"],
-                        payload=record["payload"],
-                        cached=True,
-                    )
+                    campaign.outcomes[position] = _campaign_outcome(seed, cached=True)
                 else:
                     pending.append(position)
             chunk_size = max(1, self.config.chunk_size)
@@ -286,8 +279,9 @@ class Coordinator:
                 self._jobs[job.job_id] = job
                 campaign.jobs.append(job.job_id)
             self._campaigns[campaign_id] = campaign
-            self._campaign_order.append(campaign_id)
-            if campaign.done:  # pure cache hit: no jobs at all
+            if campaign.jobs:
+                self._open_campaigns[campaign_id] = campaign
+            else:  # pure cache hit: no jobs at all
                 campaign.completed_at = self.clock()
             f = fleet.ACTIVE
             if f.enabled:
@@ -304,8 +298,12 @@ class Coordinator:
     def _reap(self) -> None:
         """Requeue (or terminally fail) jobs whose lease expired."""
         now = self.clock()
-        for job in self._jobs.values():
-            if job.state == "leased" and job.lease_expires <= now:
+        # a terminal failure may close its campaign: iterate a copy
+        for campaign in list(self._open_campaigns.values()):
+            for job_id in campaign.jobs:
+                job = self._jobs[job_id]
+                if job.state != "leased" or job.lease_expires > now:
+                    continue
                 job.requeues += 1
                 self.requeues_total += 1
                 f = fleet.ACTIVE
@@ -352,8 +350,7 @@ class Coordinator:
             self._touch(worker_id)
             self._reap()
             now = self.clock()
-            for campaign_id in self._campaign_order:
-                campaign = self._campaigns[campaign_id]
+            for campaign in self._open_campaigns.values():
                 for job_id in campaign.jobs:
                     job = self._jobs[job_id]
                     if job.state != "pending" or job.not_before > now:
@@ -429,6 +426,20 @@ class Coordinator:
             missing = [seed for seed in job.seeds if seed not in by_seed]
             if missing:
                 return {"ok": False, "reason": f"missing seeds {missing}"}
+            campaign = self._campaigns[job.campaign_id]
+            fresh = [
+                {
+                    "key": campaign.keys[position],
+                    "seed": seed,
+                    "encoding": by_seed[seed]["encoding"],
+                    "payload": by_seed[seed]["payload"],
+                    "code": code_fingerprint(),
+                }
+                for position, seed in zip(job.positions, job.seeds)
+                if by_seed[seed].get("error") is None
+            ]
+            if fresh:  # stored first: a failed put leaves the job leased
+                self.store.put_records(fresh)
             now = self.clock()
             job.state = "done"
             job.elapsed_s = now - job.leased_at
@@ -440,28 +451,14 @@ class Coordinator:
                 f.observe(
                     "fleet.coordinator.job_duration_ns", job.elapsed_s * 1e9
                 )
-            campaign = self._campaigns[job.campaign_id]
-            fresh: list[dict] = []
             for position, seed in zip(job.positions, job.seeds):
-                outcome = dict(by_seed[seed])
-                outcome["worker"] = worker_id
-                campaign.outcomes[position] = outcome
-                if outcome.get("error") is None:
-                    fresh.append(
-                        {
-                            "key": campaign.keys[position],
-                            "seed": outcome["seed"],
-                            "encoding": outcome["encoding"],
-                            "payload": outcome["payload"],
-                            "code": None,
-                        }
-                    )
-            if fresh:
-                from repro.harness.sweep import code_fingerprint
-
-                for record in fresh:
-                    record["code"] = code_fingerprint()
-                self.store.put_records(fresh)
+                # the payload lives in the store; result() reads it back
+                campaign.outcomes[position] = {
+                    **by_seed[seed],
+                    "encoding": None,
+                    "payload": None,
+                    "worker": worker_id,
+                }
             entry = self._workers.get(worker_id)
             if entry is not None:
                 entry["jobs_completed"] += 1
@@ -493,6 +490,7 @@ class Coordinator:
     def _maybe_complete(self, campaign: Campaign) -> None:
         if campaign.completed_at is None and campaign.done:
             campaign.completed_at = self.clock()
+            del self._open_campaigns[campaign.campaign_id]
 
     # -- read side -----------------------------------------------------------
 
@@ -558,8 +556,30 @@ class Coordinator:
                 "elapsed_s": round(
                     campaign.completed_at - campaign.submitted_at, 6
                 ),
-                "outcomes": list(campaign.outcomes),
+                "outcomes": self._with_payloads(campaign),
             }
+
+    def _with_payloads(self, campaign: Campaign) -> list[dict]:
+        """The campaign's outcomes, successful ones filled from the store.
+
+        Campaigns keep no payloads, so a coordinator's memory does not
+        grow with the size of every result it has ever served.
+        """
+        outcomes = list(campaign.outcomes)
+        stored = [p for p, o in enumerate(outcomes) if o["error"] is None]
+        records = self.store.get_many(campaign.keys[p] for p in stored)
+        for position in stored:
+            key = campaign.keys[position]
+            record = records.get(key)
+            if record is None:
+                filled = {"error": f"result {key} is missing from the store"}
+            else:
+                filled = {
+                    "encoding": record["encoding"],
+                    "payload": record["payload"],
+                }
+            outcomes[position] = {**outcomes[position], **filled}
+        return outcomes
 
     def report(self, campaign_id: str) -> dict:
         """The full campaign post-mortem (CI artifact shape)."""
@@ -613,12 +633,10 @@ class Coordinator:
 
     def campaigns(self) -> list[dict]:
         with self._lock:
-            return [self.status(cid) for cid in self._campaign_order]
+            return [self.status(cid) for cid in self._campaigns]
 
     def idle(self) -> bool:
         """True when no campaign has runnable or in-flight work."""
         with self._lock:
             self._reap()
-            return all(
-                self._campaigns[cid].done for cid in self._campaign_order
-            )
+            return not self._open_campaigns

@@ -1,50 +1,23 @@
-"""Shared content-addressed result store for sweep campaigns.
+"""Content addressing for the sweep service's shared result store.
 
-Generalizes the PR 1 JSONL sweep cache into a store that many
-coordinator/worker processes — potentially on many hosts over a shared
-filesystem — can append to concurrently:
-
-* **Content addressing.** A record's key is
-  :func:`spec_record_key`: SHA-256 over the spec's scientific content
-  (its ``scenario-spec/v1`` dict minus ``seeds`` and ``label``), the
-  seed, and :func:`~repro.harness.sweep.code_fingerprint`.  Two
-  campaigns that ask the same question share results no matter how
-  their seed lists are chunked or what they are called — a re-submitted
-  campaign is a pure cache hit.
-* **Concurrent writers.** Appends take an ``fcntl`` advisory lock on
-  the shard file (where available) and write each record as one
-  ``write()`` of a newline-terminated JSON line, so records from
-  concurrent processes never interleave.
-* **Torn-line tolerance.** A writer crashing mid-append can leave a
-  torn trailing line.  Reads skip malformed lines and *report* them
-  (:attr:`ResultStore.malformed`); the next locked append repairs the
-  torn tail by terminating it before writing, so one crash never
-  corrupts subsequent records.
-* **Compaction.** Records are append-only and later records shadow
-  earlier ones; :meth:`ResultStore.compact` rewrites each shard keeping
-  only the surviving record per key (atomic rename under the lock).
-
-Values reuse the sweep cache's encoding: exact-JSON-round-trip values
-stay JSON, everything else is pickled and base64-wrapped.
+Campaign results live in :class:`~repro.harness.sweep.ResultStore`, the
+same sqlite store the sweep engine caches into, on the coordinator's
+host (workers reach it only through the coordinator's HTTP API).  A
+record's key is :func:`spec_record_key`: SHA-256 over the spec's
+scientific content (its ``scenario-spec/v1`` dict minus ``seeds`` and
+``label``), the seed, and :func:`~repro.harness.sweep.code_fingerprint`.
+Two campaigns that ask the same question share results no matter how
+their seed lists are chunked or what they are called — a re-submitted
+campaign is a pure cache hit.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
-from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
-from repro.harness.sweep import (
-    _decode_value,
-    _encode_value,
-    _FileLock,
-    _tail_is_torn,
-    code_fingerprint,
-)
-from repro.obs import fleet
+from repro.harness.sweep import ResultStore, code_fingerprint
 
 __all__ = ["ResultStore", "spec_record_key"]
 
@@ -73,185 +46,3 @@ def spec_record_key(spec: Any, seed: Any) -> str:
         default=repr,
     )
     return hashlib.sha256(material.encode()).hexdigest()[:32]
-
-
-class ResultStore:
-    """Content-addressed JSONL result store under one directory.
-
-    Records are sharded across ``<prefix>.jsonl`` files by the first
-    two hex digits of their key, keeping locks fine-grained and shard
-    files short.  Each record is one JSON line::
-
-        {"key": ..., "seed": ..., "encoding": "json"|"pickle",
-         "payload": ..., "code": <code fingerprint>}
-
-    Later records for the same key shadow earlier ones.
-    """
-
-    def __init__(self, directory: str | Path):
-        self.directory = Path(directory)
-        #: malformed lines skipped per shard file on the last read.
-        self.malformed: dict[str, int] = {}
-
-    # -- layout --------------------------------------------------------------
-
-    def _shard(self, key: str) -> Path:
-        return self.directory / f"{key[:2]}.jsonl"
-
-    def _lock(self, shard: Path, shared: bool = False) -> _FileLock:
-        return _FileLock(shard, shared=shared)
-
-    # -- reading -------------------------------------------------------------
-
-    def _read_shard(self, shard: Path) -> dict[str, dict]:
-        """All surviving records of one shard file, keyed by key."""
-        records: dict[str, dict] = {}
-        malformed = 0
-        try:
-            lines = shard.read_bytes().split(b"\n")
-        except OSError:
-            return records
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                records[record["key"]] = record
-            except (ValueError, KeyError, TypeError):
-                malformed += 1  # torn/corrupt line: skip, but report
-        if malformed:
-            self.malformed[shard.name] = malformed
-            f = fleet.ACTIVE
-            if f.enabled:
-                f.inc("fleet.result_store.malformed_lines", malformed)
-        else:
-            self.malformed.pop(shard.name, None)
-        return records
-
-    def get(self, key: str) -> dict | None:
-        """The surviving record for *key*, or ``None``."""
-        record = self.get_many([key]).get(key)
-        return record
-
-    def get_many(self, keys: Iterable[str]) -> dict[str, dict]:
-        """Surviving records for *keys* (absent keys are omitted)."""
-        keys = list(keys)
-        found: dict[str, dict] = {}
-        for shard in {self._shard(key) for key in keys}:
-            if not shard.exists():
-                continue
-            with self._lock(shard, shared=True):
-                records = self._read_shard(shard)
-            for key in keys:
-                if key in records:
-                    found[key] = records[key]
-        f = fleet.ACTIVE
-        if f.enabled:
-            f.inc("fleet.result_store.gets", len(keys))
-            f.inc("fleet.result_store.hits", len(found))
-            f.inc("fleet.result_store.misses", len(keys) - len(found))
-        return found
-
-    def fetch(self, record: dict) -> Any:
-        """Decode a record's payload (raises on a corrupt payload)."""
-        return _decode_value(record["encoding"], record["payload"])
-
-    # -- writing -------------------------------------------------------------
-
-    @staticmethod
-    def make_record(key: str, seed: Any, value: Any) -> dict:
-        encoding, payload = _encode_value(value)
-        return {
-            "key": key,
-            "seed": seed,
-            "encoding": encoding,
-            "payload": payload,
-            "code": code_fingerprint(),
-        }
-
-    def put(self, key: str, seed: Any, value: Any) -> dict:
-        """Encode and append one result; returns the stored record."""
-        record = self.make_record(key, seed, value)
-        self.put_records([record])
-        return record
-
-    def put_records(self, records: Iterable[dict]) -> None:
-        """Append pre-built records, grouped per shard under its lock.
-
-        Each shard's batch is written as a single ``write()`` so
-        concurrent appenders never interleave records; a torn trailing
-        line left by a crashed writer is terminated first so it damages
-        at most itself.
-        """
-        by_shard: dict[Path, list[dict]] = {}
-        for record in records:
-            by_shard.setdefault(self._shard(record["key"]), []).append(record)
-        f = fleet.ACTIVE
-        for shard, batch in by_shard.items():
-            self.directory.mkdir(parents=True, exist_ok=True)
-            blob = "".join(json.dumps(record) + "\n" for record in batch)
-            with self._lock(shard):
-                with shard.open("ab") as handle:
-                    if _tail_is_torn(shard):
-                        handle.write(b"\n")  # repair a crashed append
-                        if f.enabled:
-                            f.inc("fleet.result_store.torn_repairs")
-                    handle.write(blob.encode())
-                    handle.flush()
-                    os.fsync(handle.fileno())
-            if f.enabled:
-                f.inc("fleet.result_store.puts", len(batch))
-
-    # (locking + torn-tail repair shared with the sweep cache:
-    #  repro.harness.sweep._FileLock / _tail_is_torn)
-
-    # -- maintenance ---------------------------------------------------------
-
-    def compact(self) -> dict[str, int]:
-        """Rewrite every shard keeping one record per key.
-
-        Returns ``{"records": survivors, "dropped": shadowed+malformed}``.
-        Each shard is replaced atomically (temp file + ``os.replace``)
-        under its exclusive lock, so concurrent readers see either the
-        old or the new file, never a partial one.
-        """
-        survivors = 0
-        dropped = 0
-        for shard in sorted(self.directory.glob("*.jsonl")):
-            with self._lock(shard):
-                raw_lines = sum(
-                    1
-                    for line in shard.read_bytes().split(b"\n")
-                    if line.strip()
-                )
-                records = self._read_shard(shard)
-                handle, temp_path = tempfile.mkstemp(
-                    dir=self.directory, suffix=".tmp"
-                )
-                try:
-                    with os.fdopen(handle, "w") as temp:
-                        for record in records.values():
-                            temp.write(json.dumps(record) + "\n")
-                        temp.flush()
-                        os.fsync(temp.fileno())
-                    os.replace(temp_path, shard)
-                except BaseException:
-                    os.unlink(temp_path)
-                    raise
-                survivors += len(records)
-                dropped += raw_lines - len(records)
-        return {"records": survivors, "dropped": dropped}
-
-    def stats(self) -> dict:
-        """Record/shard counts plus malformed lines seen on reads."""
-        shards = sorted(self.directory.glob("*.jsonl"))
-        records = 0
-        for shard in shards:
-            with self._lock(shard, shared=True):
-                records += len(self._read_shard(shard))
-        return {
-            "records": records,
-            "shards": len(shards),
-            "malformed_lines": sum(self.malformed.values()),
-        }

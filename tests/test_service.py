@@ -9,10 +9,12 @@ in seed order) to ``SweepRunner.run_spec`` on one host.
 import os
 import pickle
 import signal
+import sqlite3
 import subprocess
 import sys
 import threading
 import time
+from contextlib import closing
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -98,6 +100,32 @@ def clocked(tmp_path):
         retry_backoff_s=1.0,
     )
     return Coordinator(ResultStore(tmp_path), config, clock=clock), clock
+
+
+class _CountingJobs(dict):
+    """A coordinator job table that counts every access to a job."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def values(self):
+        self.reads += 1
+        return super().values()
+
+    def items(self):
+        self.reads += 1
+        return super().items()
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
 
 
 class TestCoordinatorQueue:
@@ -218,6 +246,44 @@ class TestCoordinatorQueue:
         again = coordinator.submit(make_spec(seeds=(0, 1, 9)))
         assert again["cached"] == 2
         assert again["jobs"] == 1
+
+    def test_lease_walks_only_open_campaigns(self, clocked):
+        """Finished and pure-hit campaigns cost an idle lease nothing."""
+        coordinator, _ = clocked
+        worker = coordinator.register()
+        for seed in range(5):
+            coordinator.submit(make_spec(seeds=(seed,)))
+            job = coordinator.lease(worker)
+            coordinator.complete(worker, job["job"], wire_outcomes(job["seeds"]))
+        for index in range(500):
+            assert coordinator.submit(make_spec(seeds=(index % 5,)))["jobs"] == 0
+        assert coordinator._open_campaigns == {}
+        assert coordinator.idle()
+        jobs = _CountingJobs(coordinator._jobs)
+        coordinator._jobs = jobs
+        assert coordinator.lease(worker) is None
+        assert jobs.reads == 0
+        assert len(coordinator.campaigns()) == 505
+
+    def test_campaigns_keep_no_payloads(self, clocked, tmp_path):
+        """Payloads live in the store; result() reads them back."""
+        coordinator, _ = clocked
+        worker = coordinator.register()
+        first = coordinator.submit(make_spec(seeds=(0, 1)))
+        job = coordinator.lease(worker)
+        coordinator.complete(worker, job["job"], wire_outcomes(job["seeds"]))
+        again = coordinator.submit(make_spec(seeds=(1, 0)))
+        for status in (first, again):
+            outcomes = coordinator._campaigns[status["campaign"]].outcomes
+            assert [o["payload"] for o in outcomes] == [None, None]
+        result = coordinator.result(again["campaign"])
+        assert merged_values(result) == ["value-1", "value-0"]
+        with closing(sqlite3.connect(tmp_path / ResultStore.FILENAME)) as db:
+            db.execute("DELETE FROM results WHERE seed = '0'")
+            db.commit()
+        outcomes = seed_outcomes(coordinator.result(first["campaign"]))
+        assert "missing from the store" in outcomes[0].error
+        assert outcomes[1].value == "value-1"
 
     def test_unknown_campaign_raises_key_error(self, clocked):
         coordinator, _ = clocked

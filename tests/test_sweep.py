@@ -2,8 +2,11 @@
 
 import multiprocessing
 import os
-import warnings
+import signal
+import sqlite3
+import time
 from collections import Counter
+from contextlib import closing
 from functools import partial
 
 import pytest
@@ -16,7 +19,7 @@ from repro.harness import (
     driver_fingerprint,
 )
 from repro.harness.sweep import (
-    ResultCache,
+    ResultStore,
     _cgroup_cpu_quota,
     _decode_value,
     _encode_value,
@@ -138,12 +141,21 @@ class TestResultCache:
         SweepRunner(workers=1, cache_dir=tmp_path).run(
             _double, range(2), name="exp"
         )
-        cache_file = tmp_path / "exp.jsonl"
-        cache_file.write_text("not json\n" + cache_file.read_text())
+        with closing(sqlite3.connect(tmp_path / ResultStore.FILENAME)) as db:
+            db.execute(
+                "UPDATE results SET payload = 'not json' WHERE seed = '1'"
+            )
+            db.commit()
         result = SweepRunner(workers=1, cache_dir=tmp_path).run(
             _double, range(2), name="exp"
         )
-        assert result.cache_hits == 2  # valid records survive the junk
+        assert result.cache_hits == 1  # the valid record survives the junk
+        assert result.values() == [0, 2]
+        # ...and the recompute overwrote the undecodable row.
+        again = SweepRunner(workers=1, cache_dir=tmp_path).run(
+            _double, range(2), name="exp"
+        )
+        assert again.cache_hits == 2
 
     def test_payload_encoding_round_trips(self):
         for value in (
@@ -219,61 +231,58 @@ class TestDriverFingerprint:
 
 def _cache_hammer(args):
     directory, writer, count = args
-    cache = ResultCache(directory)
+    store = ResultStore(directory)
     for index in range(count):
-        record = {
-            "key": f"w{writer}-{index}",
-            "encoding": "json",
-            "payload": [writer, index],
-        }
-        cache.append("contended", [record])
+        store.put(f"w{writer}-{index}", index, [writer, index])
     return writer
 
 
+def _killed_sweep_writer(directory, keys, ready):
+    """Store seeds 3..5 in a large batch; hang before it commits."""
+    store = ResultStore(directory)
+
+    def records():
+        for seed, key in zip(range(3, 6), keys):
+            yield store.make_record(key, seed, seed * 2)
+        for index in range(100_000):
+            if index == 2_000:
+                ready.set()
+                time.sleep(120)
+            yield store.make_record(f"filler-{index}", index, "x" * 4096)
+
+    store.put_records(records())
+
+
 class TestResultCacheCrashSafety:
-    """Regression tests for concurrent appends and crash-torn lines."""
-
-    def test_torn_tail_is_skipped_and_warned(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.append("exp", [{"key": "k1", "encoding": "json", "payload": 1}])
-        with (tmp_path / "exp.jsonl").open("ab") as handle:
-            handle.write(b'{"key": "k2", "enc')  # writer crashed mid-append
-        fresh = ResultCache(tmp_path)
-        with pytest.warns(RuntimeWarning, match="1 malformed"):
-            records = fresh.load("exp")
-        assert set(records) == {"k1"}
-        assert fresh.malformed == {"exp.jsonl": 1}
-        # ...and only warns once per cache file, not per load.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            fresh.load("exp")
-
-    def test_append_after_crash_repairs_the_tail(self, tmp_path):
-        """A record appended after a torn line must stay parseable."""
-        cache = ResultCache(tmp_path)
-        cache.append("exp", [{"key": "before", "encoding": "json", "payload": 1}])
-        path = tmp_path / "exp.jsonl"
-        with path.open("ab") as handle:
-            handle.write(b'{"key": "torn...')
-        cache.append("exp", [{"key": "after", "encoding": "json", "payload": 2}])
-        with pytest.warns(RuntimeWarning):
-            records = ResultCache(tmp_path).load("exp")
-        assert set(records) == {"before", "after"}
-        assert len(path.read_bytes().splitlines()) == 3
+    """Regression tests for concurrent and crashed writers."""
 
     def test_sweep_recomputes_past_a_crashed_writer(self, tmp_path):
-        """End to end: a torn cache line costs a recompute, nothing else."""
-        SweepRunner(workers=1, cache_dir=tmp_path).run(
-            _double, range(3), name="exp"
+        """End to end: a writer killed mid-batch costs a recompute."""
+        runner = SweepRunner(workers=1, cache_dir=tmp_path)
+        runner.run(_double, range(3), name="exp")
+        driver = driver_fingerprint(_double)
+        keys = [runner._key("exp", {}, seed, driver) for seed in range(3, 6)]
+        context = multiprocessing.get_context("spawn")
+        ready = context.Event()
+        child = context.Process(
+            target=_killed_sweep_writer, args=(tmp_path, keys, ready)
         )
-        with (tmp_path / "exp.jsonl").open("ab") as handle:
-            handle.write(b'{"key": "half-a-reco')
-        with pytest.warns(RuntimeWarning):
-            result = SweepRunner(workers=1, cache_dir=tmp_path).run(
-                _double, range(3), name="exp"
-            )
+        child.start()
+        try:
+            assert ready.wait(60), "writer never reached its transaction"
+        finally:
+            os.kill(child.pid, signal.SIGKILL)
+            child.join(timeout=60)
+        assert child.exitcode == -signal.SIGKILL
+        result = SweepRunner(workers=1, cache_dir=tmp_path).run(
+            _double, range(6), name="exp"
+        )
         assert result.cache_hits == 3
-        assert result.values() == [0, 2, 4]
+        assert result.values() == [0, 2, 4, 6, 8, 10]
+        rerun = SweepRunner(workers=1, cache_dir=tmp_path).run(
+            _double, range(6), name="exp"
+        )
+        assert rerun.cache_hits == 6
 
     def test_parallel_process_appends_never_interleave(self, tmp_path):
         writers, per_writer = 4, 20
@@ -282,7 +291,9 @@ class TestResultCacheCrashSafety:
                 _cache_hammer,
                 [(str(tmp_path), w, per_writer) for w in range(writers)],
             )
-        records = ResultCache(tmp_path).load("contended")
+        store = ResultStore(tmp_path)
+        keys = [f"w{w}-{i}" for w in range(writers) for i in range(per_writer)]
+        records = store.get_many(keys)
         assert len(records) == writers * per_writer
         for writer in range(writers):
             for index in range(per_writer):
