@@ -12,7 +12,7 @@ stock (``nondet``) and a DEAR (``det``) variant:
   trunk with bulk telemetry (:mod:`repro.apps.lib.mixedcrit`).
 
 Importing this package registers the apps; everything downstream
-(``ScenarioSpec``, obs drivers, every CLI subcommand) picks them up
+(``ScenarioSpec`` and every CLI subcommand through it) picks them up
 through :mod:`repro.apps.registry`.
 """
 

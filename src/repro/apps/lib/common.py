@@ -4,7 +4,7 @@ Every library app builds its world the same way — a
 :class:`~repro.network.topology.TopologySpec` fabric, one platform +
 NIC + SD daemon per node, an optional fault plan — and reports results
 in the same :class:`~repro.apps.brake.instrumentation.BrakeRunResult`
-shape the whole harness (sweeps, obs drivers, CLI reports,
+shape the whole harness (sweeps, observed runs, CLI reports,
 ``outcome_digest``) already consumes.
 """
 

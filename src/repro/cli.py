@@ -51,26 +51,6 @@ def _add_app(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _app_scenario(app: str, frames: int | None, brake_default: int):
-    """The app's default scenario with ``--frames`` applied.
-
-    Brake keeps its historical per-subcommand frame default; library
-    scenarios run at their own size unless ``--frames`` is given.
-    """
-    from dataclasses import replace
-
-    from repro import apps
-
-    scenario = apps.get(app).default_scenario()
-    if app == "brake":
-        return replace(
-            scenario, n_frames=frames if frames is not None else brake_default
-        )
-    if frames is not None:
-        scenario = replace(scenario, n_frames=frames)
-    return scenario
-
-
 def _sweep_options() -> argparse.ArgumentParser:
     """Options shared by every subcommand: parallelism and caching."""
     common = argparse.ArgumentParser(add_help=False)
@@ -100,8 +80,8 @@ def _sweep_options() -> argparse.ArgumentParser:
     obs_group = common.add_argument_group("observability")
     obs_group.add_argument(
         "--trace-out", default=None, metavar="FILE",
-        help="also run one observed representative brake run and write "
-             "its Perfetto/Chrome trace_event JSON to FILE",
+        help="also run the first seed of the subcommand's spec observed "
+             "and write its Perfetto/Chrome trace_event JSON to FILE",
     )
     obs_group.add_argument(
         "--metrics-out", default=None, metavar="FILE",
@@ -589,6 +569,72 @@ def _load_spec(args: argparse.Namespace):
     return ScenarioSpec.load(args.spec)
 
 
+def _cli_spec(
+    args: argparse.Namespace, variant: str = "det", brake_frames: int | None = None
+):
+    """The :class:`ScenarioSpec` a seeded subcommand runs.
+
+    ``--spec FILE`` wins, with *variant* applied.  Otherwise the spec is
+    ``--app`` (brake by default) with seeds ``0..N-1`` from ``--seeds
+    N`` or the single ``--seed``, and ``--frames`` applied to the app's
+    default scenario; without ``--frames`` brake runs *brake_frames*
+    frames (the subcommand's own default) and library apps their
+    scenario's own size.
+    """
+    from dataclasses import replace
+
+    from repro import apps
+    from repro.harness.config import ScenarioSpec
+
+    spec = _load_spec(args)
+    if spec is not None:
+        return replace(spec, variant=variant)
+    app = getattr(args, "app", "brake")
+    frames = getattr(args, "frames", None)
+    if frames is None and app == "brake":
+        frames = brake_frames
+    scenario = apps.get(app).default_scenario()
+    if frames is not None:
+        scenario = replace(scenario, n_frames=frames)
+    n_seeds = getattr(args, "seeds", None)
+    seeds = range(n_seeds) if n_seeds is not None else (getattr(args, "seed", 0),)
+    return ScenarioSpec(
+        app=app, variant=variant, seeds=tuple(seeds), scenario=scenario
+    )
+
+
+def _with_frames(spec, n_frames: int):
+    """*spec* with its scenario resized to *n_frames* frames."""
+    from dataclasses import replace
+
+    return replace(spec, scenario=replace(spec.scenario, n_frames=n_frames))
+
+
+def _observe(
+    args: argparse.Namespace, spec, flows: bool = False, metrics: bool = True
+):
+    """Run the spec's first seed observed; write ``--trace-out``/``--metrics-out``.
+
+    The CLI's one observed single run: ``repro trace`` and every
+    subcommand's trace/metrics export go through it.  *metrics=False*
+    leaves ``--metrics-out`` to the caller (``repro metrics`` writes
+    its cross-seed aggregate there).  Returns ``(observation, result)``.
+    """
+    from repro import obs
+    from repro.harness.config import observe_spec
+
+    seed = spec.seeds[0]
+    observation, result = observe_spec(seed, spec, flows=flows)
+    what = f"{spec.app} {spec.variant}, seed {seed}"
+    if args.trace_out:
+        obs.write_trace(observation, args.trace_out)
+        print(f"observed {what}: trace -> {args.trace_out}", file=sys.stderr)
+    if metrics and args.metrics_out:
+        obs.write_metrics(observation, args.metrics_out)
+        print(f"observed {what}: metrics -> {args.metrics_out}", file=sys.stderr)
+    return observation, result
+
+
 def _run_one(name: str, args: argparse.Namespace, sweep) -> str:
     from repro.harness import extensions, figures
 
@@ -854,10 +900,10 @@ def _run_explore_inner(args, sweep, strategy, engine) -> int:
     return code
 
 
-def _faults_plan(args: argparse.Namespace):
+def _faults_plan(args: argparse.Namespace, app: str):
     """The :class:`FaultPlan` from ``--plan`` or the quick flags.
 
-    Returns ``None`` when a library app was selected and no quick fault
+    Returns ``None`` when *app* is a library app and no quick fault
     flag was set — the spec then falls through to the app's own default
     plan (e.g. the failover scenario's primary-node outage).
     """
@@ -866,7 +912,6 @@ def _faults_plan(args: argparse.Namespace):
 
     if args.plan:
         return FaultPlan.load(args.plan)
-    app = getattr(args, "app", "brake")
     partitions = []
     for window in args.partition or ():
         start_text, _, end_text = window.partition(":")
@@ -979,19 +1024,10 @@ def _run_faults(args: argparse.Namespace, sweep) -> int:
 
     from repro.analysis.report import render_table
     from repro.faults import FaultPlan
-    from repro.harness.config import ScenarioSpec
 
-    plan = _faults_plan(args)
-    spec = _load_spec(args)
-    if spec is not None:
-        app = spec.app
-        if plan is not None:
-            spec = replace(spec, faults=plan, variant="det")
-        else:
-            spec = replace(spec, variant="det")
-    else:
-        app = getattr(args, "app", "brake")
-        scenario = _app_scenario(app, args.frames, 150)
+    spec = _cli_spec(args, brake_frames=150)
+    app = spec.app
+    if not args.spec:
         # The cross-seed trace-identity check needs seed-fixed inputs:
         # the deterministic camera for brake, the library analogue
         # (calm hosts, constant latencies, no input jitter) otherwise.
@@ -999,18 +1035,15 @@ def _run_faults(args: argparse.Namespace, sweep) -> int:
             "deterministic_camera" if app == "brake" else "deterministic_inputs"
         )
         scenario = replace(
-            scenario,
+            spec.scenario,
             late_policy=args.late_policy,
             **{deterministic_knob: True},
         )
-        spec = ScenarioSpec(
-            variant="det",
-            seeds=tuple(range(args.seeds)),
-            scenario=scenario,
-            faults=plan,
-            label="faults-det" if app == "brake" else f"faults-{app}-det",
-            app=app,
-        )
+        label = "faults-det" if app == "brake" else f"faults-{app}-det"
+        spec = replace(spec, scenario=scenario, label=label)
+    plan = _faults_plan(args, app)
+    if plan is not None:
+        spec = replace(spec, faults=plan)
     # Library apps may carry their fault plan in the scenario itself
     # (e.g. failover's primary outage); report whatever actually runs.
     plan = spec.effective_faults() or FaultPlan(label="none")
@@ -1109,81 +1142,49 @@ def _run_faults(args: argparse.Namespace, sweep) -> int:
 def _run_flows(args: argparse.Namespace, sweep) -> int:
     """``repro flows``: causal flow sweep with a stock-vs-DEAR diff.
 
-    Maps :func:`repro.obs.drivers.run_brake_flows` over the seed range
-    for each requested variant, merges the per-seed ``flow-report/v1``
-    documents, prints drop attribution and the critical path, and (with
-    both variants) a stock-vs-DEAR delivery/drop diff.
+    Sweeps the spec with flow capture for each requested variant,
+    merges the per-seed ``flow-report/v1`` documents, prints drop
+    attribution and the critical path, and (with both variants) a
+    stock-vs-DEAR delivery/drop diff.
     """
     import json
     from dataclasses import replace
-    from functools import partial
 
-    from repro import apps, obs
-    from repro.obs.drivers import run_brake_flows
+    from repro import obs
     from repro.analysis.report import render_table
 
-    spec = _load_spec(args)
-    fault_plan = None
-    switch_config = None
-    if spec is not None:
-        app = spec.app
-        scenario = spec.effective_scenario()
-        seeds = list(spec.seeds)
-        fault_plan = spec.faults
-        switch_config = spec.switch_config()
-    else:
-        app = getattr(args, "app", "brake")
-        scenario = _app_scenario(app, args.frames, 120)
-        seeds = list(range(args.seeds))
-        if args.drop > 0.0:
-            if app != "brake":
-                raise SystemExit(
-                    "flows: --drop targets the brake camera flow; use "
-                    "--spec with a fault plan for library apps"
-                )
-            from repro.faults import FaultPlan
-
-            fault_plan = FaultPlan.camera_faults(
-                seed=args.fault_seed, drop=args.drop, label="cli-flows"
+    spec = _cli_spec(args, brake_frames=120)
+    app = spec.app
+    if args.drop > 0.0 and not args.spec:
+        if app != "brake":
+            raise SystemExit(
+                "flows: --drop targets the brake camera flow; use "
+                "--spec with a fault plan for library apps"
             )
-    definition = apps.get(app)
+        from repro.faults import FaultPlan
+
+        spec = replace(
+            spec,
+            faults=FaultPlan.camera_faults(
+                seed=args.fault_seed, drop=args.drop, label="cli-flows"
+            ),
+        )
+    known = spec.definition().variants()
     variants = (
         ("det", "nondet") if args.variant == "both" else (args.variant,)
     )
     for variant in variants:
-        if variant not in definition.variants():
+        if variant not in known:
             raise SystemExit(
                 f"flows: app {app!r} has no variant {variant!r}; "
-                f"known: {list(definition.variants())}"
+                f"known: {list(known)}"
             )
     merged: dict[str, dict] = {}
     for variant in variants:
-        # The brake sweep name and params predate --app; keep them
-        # byte-identical so existing result caches stay warm.
-        params = {
-            "frames": scenario.n_frames,
-            "spec": spec.to_dict() if spec is not None else None,
-            "faults": fault_plan.to_dict() if fault_plan is not None else None,
-        }
-        if app != "brake":
-            params["app"] = app
-        runs = sweep.map(
-            partial(
-                run_brake_flows,
-                scenario=scenario,
-                variant=variant,
-                fault_plan=fault_plan,
-                switch_config=switch_config,
-                app=app,
-            ),
-            seeds,
-            name=(
-                f"flows-{variant}" if app == "brake"
-                else f"flows-{app}-{variant}"
-            ),
-            params=params,
+        runs = sweep.run_spec(replace(spec, variant=variant), flows=True).values()
+        merged[variant] = obs.merge_flow_reports(
+            [run.fault_summary["flows"] for run in runs]
         )
-        merged[variant] = obs.merge_flow_reports([run["report"] for run in runs])
         summary = merged[variant]["summary"]
         tag = variant if app == "brake" else f"{app} {variant}"
         drop_rows = [
@@ -1195,7 +1196,7 @@ def _run_flows(args: argparse.Namespace, sweep) -> int:
             drop_rows,
             title=(
                 f"FLOWS - {tag}: {summary['delivered']}/{summary['total']} "
-                f"delivered over {len(seeds)} seed(s), e2e p50 "
+                f"delivered over {len(spec.seeds)} seed(s), e2e p50 "
                 f"{summary['e2e_p50_ns']} ns, p95 {summary['e2e_p95_ns']} ns"
             ),
         ))
@@ -1238,8 +1239,8 @@ def _run_flows(args: argparse.Namespace, sweep) -> int:
         document = {
             "format": "flow-sweep-report/v1",
             "app": app,
-            "frames": scenario.n_frames,
-            "seeds": len(seeds),
+            "frames": spec.scenario.n_frames,
+            "seeds": len(spec.seeds),
             **{variant: merged[variant] for variant in variants},
         }
         if diff is not None:
@@ -1249,24 +1250,12 @@ def _run_flows(args: argparse.Namespace, sweep) -> int:
         print(f"flow-sweep report -> {args.out}")
 
     if args.trace_out or args.metrics_out:
-        observation, _ = obs.observe_brake_flows(
-            seeds[0] if seeds else 0,
-            replace(scenario, n_frames=min(scenario.n_frames, 200)),
-            variants[0],
-            fault_plan=fault_plan,
-            switch_config=switch_config,
-            app=app,
+        representative = replace(spec, variant=variants[0])
+        _observe(
+            args,
+            _with_frames(representative, min(spec.scenario.n_frames, 200)),
+            flows=True,
         )
-        if args.trace_out:
-            obs.write_trace(observation, args.trace_out)
-            print(
-                f"flow trace (seed {seeds[0] if seeds else 0}, "
-                f"{variants[0]}) -> {args.trace_out}",
-                file=sys.stderr,
-            )
-        if args.metrics_out:
-            obs.write_metrics(observation, args.metrics_out)
-            print(f"flow metrics -> {args.metrics_out}", file=sys.stderr)
     return 0
 
 
@@ -1541,25 +1530,17 @@ def _run_bench_diff(args: argparse.Namespace) -> int:
 
 def _run_trace(args: argparse.Namespace) -> int:
     """``repro trace det|nondet``: one observed run -> Perfetto JSON."""
-    from repro import obs
-
-    app = getattr(args, "app", "brake")
-    scenario = _app_scenario(app, args.frames, 200)
-    observation, result = obs.observe_brake_run(
-        args.seed, scenario, args.experiment, app=app
-    )
-    path = obs.write_trace(observation, args.trace_out or "trace.json")
+    args.trace_out = args.trace_out or "trace.json"
+    spec = _cli_spec(args, args.experiment, brake_frames=200)
+    observation, result = _observe(args, spec)
     print(
         f"trace: {len(observation.bus)} events on tracks "
-        f"{observation.bus.tracks()} -> {path}"
+        f"{observation.bus.tracks()}"
     )
-    if args.metrics_out:
-        obs.write_metrics(observation, args.metrics_out)
-        print(f"metrics -> {args.metrics_out}")
     errors = {k: v for k, v in result.errors.as_dict().items() if v}
     print(
-        f"run: {app} {args.experiment}, seed {args.seed}, "
-        f"{scenario.n_frames} frames, errors: {errors or 'none'}"
+        f"run: {spec.app} {spec.variant}, seed {spec.seeds[0]}, "
+        f"{spec.scenario.n_frames} frames, errors: {errors or 'none'}"
     )
     return 0
 
@@ -1567,42 +1548,23 @@ def _run_trace(args: argparse.Namespace) -> int:
 def _run_metrics(args: argparse.Namespace, sweep) -> int:
     """``repro metrics det|nondet``: cross-seed metric aggregates."""
     import json
-    from functools import partial
+    from dataclasses import replace
 
-    from repro import obs
     from repro.analysis.report import render_table
-    from repro.harness.sweep import merge_metric_snapshots
-    from repro.obs.drivers import run_brake_with_obs
+    from repro.obs.metrics import aggregate_snapshots
 
-    app = getattr(args, "app", "brake")
-    scenario = _app_scenario(app, args.frames, 200)
-    params = {"frames": scenario.n_frames}
-    if app != "brake":
-        params["app"] = app
-    runs = sweep.map(
-        partial(
-            run_brake_with_obs,
-            scenario=scenario,
-            variant=args.experiment,
-            app=app,
-        ),
-        range(args.seeds),
-        name=(
-            f"obs-{args.experiment}" if app == "brake"
-            else f"obs-{app}-{args.experiment}"
-        ),
-        params=params,
-    )
-    aggregate = merge_metric_snapshots(runs)
+    spec = _cli_spec(args, args.experiment, brake_frames=200)
+    runs = sweep.run_spec(replace(spec, observe=True)).values()
+    aggregate = aggregate_snapshots([run.fault_summary["metrics"] for run in runs])
 
-    tag = args.experiment if app == "brake" else f"{app} {args.experiment}"
+    tag = spec.variant if spec.app == "brake" else f"{spec.app} {spec.variant}"
     rows = [
         [name, str(entry["total"]), str(entry["p50"]), str(entry["max"])]
         for name, entry in aggregate["counters"].items()
     ]
     print(render_table(
         ["counter", "total", "p50/seed", "max/seed"], rows,
-        title=f"OBS - {tag} counters over {args.seeds} seeds:",
+        title=f"OBS - {tag} counters over {len(spec.seeds)} seeds:",
     ))
     rows = [
         [
@@ -1622,21 +1584,17 @@ def _run_metrics(args: argparse.Namespace, sweep) -> int:
     if args.metrics_out:
         document = {
             "format": "repro-metrics-aggregate/v1",
-            "app": app,
-            "experiment": args.experiment,
-            "frames": scenario.n_frames,
-            "seeds": args.seeds,
+            "app": spec.app,
+            "experiment": spec.variant,
+            "frames": spec.scenario.n_frames,
+            "seeds": len(spec.seeds),
             "aggregate": aggregate,
         }
         with open(args.metrics_out, "w", encoding="utf-8") as handle:
             json.dump(document, handle, indent=2, sort_keys=True)
         print(f"metrics aggregate -> {args.metrics_out}")
     if args.trace_out:
-        observation, _ = obs.observe_brake_run(
-            0, scenario, args.experiment, app=app
-        )
-        obs.write_trace(observation, args.trace_out)
-        print(f"representative trace (seed 0) -> {args.trace_out}")
+        _observe(args, spec, metrics=False)
     return 0
 
 
@@ -1689,33 +1647,18 @@ def _run_library(args: argparse.Namespace) -> int:
 def _export_observability(args: argparse.Namespace) -> None:
     """Honour ``--trace-out``/``--metrics-out`` on regular subcommands.
 
-    Runs one observed representative brake run (nondet for the stock-AP
-    figures, det otherwise) and writes the requested artifacts, without
-    touching the experiment results themselves.
+    Runs the first seed of the subcommand's spec observed (nondet for
+    the stock-AP figures, det otherwise; at most 500 frames when the
+    subcommand has ``--frames``) and writes the requested artifacts,
+    without touching the experiment results themselves.
     """
     if not (getattr(args, "trace_out", None) or getattr(args, "metrics_out", None)):
         return
-    from repro import obs
-
     variant = "nondet" if args.command in ("fig1", "fig5") else "det"
-    app = getattr(args, "app", "brake")
-    frames = getattr(args, "frames", None)
-    frames = min(frames, 500) if frames is not None else None
-    seed = getattr(args, "seed", 0) or 0
-    scenario = _app_scenario(app, frames, 200)
-    observation, _ = obs.observe_brake_run(seed, scenario, variant, app=app)
-    if args.trace_out:
-        obs.write_trace(observation, args.trace_out)
-        print(
-            f"observability: representative {variant} trace -> {args.trace_out}",
-            file=sys.stderr,
-        )
-    if args.metrics_out:
-        obs.write_metrics(observation, args.metrics_out)
-        print(
-            f"observability: representative {variant} metrics -> {args.metrics_out}",
-            file=sys.stderr,
-        )
+    spec = _cli_spec(args, variant, brake_frames=200)
+    if getattr(args, "frames", None) is not None:
+        spec = _with_frames(spec, min(spec.scenario.n_frames, 500))
+    _observe(args, spec)
 
 
 _ALL = (

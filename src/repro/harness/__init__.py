@@ -24,7 +24,6 @@ from repro.harness.sweep import (
     code_fingerprint,
     driver_fingerprint,
     default_workers,
-    merge_metric_snapshots,
 )
 from repro.harness import figures
 
@@ -42,7 +41,6 @@ __all__ = [
     "code_fingerprint",
     "driver_fingerprint",
     "default_workers",
-    "merge_metric_snapshots",
     "compare_dirs",
     "render_bench_diff",
 ]

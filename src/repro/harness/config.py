@@ -1,33 +1,34 @@
 """One frozen spec for one experiment: :class:`ScenarioSpec`.
 
-Historically every driver took its own loose kwargs — a seed here, an
-``n_frames`` there, a hand-built :class:`SwitchConfig` somewhere else.
 ``ScenarioSpec`` bundles *everything* that parameterizes an experiment
 — the application (any entry of :mod:`repro.apps.registry`), variant,
 seeds, workload scenario, a nested :class:`NetworkSpec`, an optional
 :class:`~repro.network.topology.TopologySpec` fabric, STP bounds,
 observability, and a :class:`~repro.faults.FaultPlan` — into a single
 frozen, JSON-round-trippable value consumed uniformly by
-:class:`SweepRunner`, the figure/extension drivers and every CLI
+:class:`SweepRunner`, the figure/extension drivers and every seeded CLI
 subcommand.
 
 Serialization speaks two formats: ``scenario-spec/v2`` carries the
 ``app``/``network``/``topology`` fields; any spec expressible in the
-legacy flattened shape (the brake app on the trivial topology) still
-writes byte-identical ``scenario-spec/v1`` documents, so committed
-specs, sweep-cache keys and service submissions from earlier versions
-keep resolving to the same experiments.  Both formats load.
+flattened v1 shape (the brake app on the trivial topology) writes
+byte-identical ``scenario-spec/v1`` documents, so committed spec files
+and service submissions keep resolving to the same experiments.  Both
+formats load.
 
-The module-level :func:`run_scenario_spec` is the picklable worker the
-sweep engine fans out: ``SweepRunner().run_spec(spec)`` is the single
-execution path for seeded experiments.
+:func:`run_scenario_spec` is the picklable worker the sweep engine fans
+out, and the only way a seed runs: ``SweepRunner().run_spec(spec)``
+sweeps it over the spec's seeds.  :func:`observe_spec` is its observed
+form — one seed under :func:`repro.obs.capture`, returning the
+observation (event bus, metrics, optional flows) beside the result —
+used for ``observe=True``/``flows=True`` sweeps and for the CLI's
+single-run trace and metrics exports.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -48,37 +49,9 @@ __all__ = [
     "ScenarioSpec",
     "latency_model_to_dict",
     "latency_model_from_dict",
+    "observe_spec",
     "run_scenario_spec",
 ]
-
-#: Sentinel distinguishing "not passed" from any real value in the
-#: deprecated flattened-knob constructor arguments.
-_UNSET: Any = object()
-
-#: The flattened knobs accepted (with a warning) for compatibility.
-_LEGACY_KNOBS = (
-    "latency",
-    "loopback_latency",
-    "in_order",
-    "drop_probability",
-    "ns_per_byte",
-)
-
-_WARNED_KNOBS: set[str] = set()
-
-
-def _warn_legacy_knobs(names: list[str]) -> None:
-    fresh = [name for name in names if name not in _WARNED_KNOBS]
-    if not fresh:
-        return
-    _WARNED_KNOBS.update(fresh)
-    warnings.warn(
-        f"passing {', '.join(fresh)} to ScenarioSpec directly is "
-        f"deprecated; nest the knob(s) in network=NetworkSpec(...)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -135,7 +108,7 @@ def _app_definition(name: str):
     return registry.get(name)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, kw_only=True)
 class ScenarioSpec:
     """Everything one experiment needs, as one frozen value.
 
@@ -144,7 +117,8 @@ class ScenarioSpec:
         variant: which of the app's runners — classically ``"det"``
             (DEAR) or ``"nondet"`` (stock).
         seeds: the seeds to sweep, in order.
-        scenario: the app's workload/timing configuration.
+        scenario: the app's workload/timing configuration; ``None``
+            means the app's default scenario.
         network: the nested :class:`NetworkSpec` (switch knobs).
         topology: optional :class:`TopologySpec` fabric override;
             ``None`` keeps the app's native fabric (the brake app's is
@@ -152,110 +126,37 @@ class ScenarioSpec:
         stp: overrides the scenario's ``L``/``E`` bounds when set.
         observe: run each seed under :func:`repro.obs.capture` and
             attach the metrics snapshot to the result's
-            ``fault_summary``-style digest.
+            ``fault_summary["metrics"]``.
         faults: the :class:`FaultPlan` to install; ``None`` defers to
             the app's default plan (fault-free for most apps, the crash
             window for the failover scenario).
         label: free-form experiment label (cache/report naming).
-
-    The five flattened network knobs (``latency``, ``loopback_latency``,
-    ``in_order``, ``drop_probability``, ``ns_per_byte``) are still
-    accepted as constructor arguments for compatibility; they warn once
-    per process and fold into :attr:`network`.
     """
 
-    app: str
-    variant: str
-    seeds: tuple[int, ...]
-    scenario: Any
-    network: NetworkSpec
-    topology: TopologySpec | None
-    stp: StpConfig | None
-    observe: bool
-    faults: FaultPlan | None
-    label: str
+    app: str = "brake"
+    variant: str = "det"
+    seeds: tuple[int, ...] = (0,)
+    scenario: Any = None
+    network: NetworkSpec = field(default_factory=NetworkSpec)
+    topology: TopologySpec | None = None
+    stp: StpConfig | None = None
+    observe: bool = False
+    faults: FaultPlan | None = None
+    label: str = ""
 
-    def __init__(
-        self,
-        variant: str = "det",
-        seeds: tuple[int, ...] = (0,),
-        scenario: Any = None,
-        latency: Any = _UNSET,
-        loopback_latency: Any = _UNSET,
-        in_order: Any = _UNSET,
-        drop_probability: Any = _UNSET,
-        ns_per_byte: Any = _UNSET,
-        stp: StpConfig | None = None,
-        observe: bool = False,
-        faults: FaultPlan | None = None,
-        label: str = "",
-        *,
-        app: str = "brake",
-        network: NetworkSpec | None = None,
-        topology: TopologySpec | None = None,
-    ) -> None:
-        legacy = {
-            name: value
-            for name, value in (
-                ("latency", latency),
-                ("loopback_latency", loopback_latency),
-                ("in_order", in_order),
-                ("drop_probability", drop_probability),
-                ("ns_per_byte", ns_per_byte),
-            )
-            if value is not _UNSET
-        }
-        if legacy:
-            _warn_legacy_knobs(sorted(legacy))
-            if network is not None:
-                raise TypeError(
-                    "pass network=NetworkSpec(...) or the flattened "
-                    "knobs, not both"
-                )
-            network = NetworkSpec(**legacy)
-        definition = _app_definition(app)
-        if variant not in definition.variants():
+    def __post_init__(self) -> None:
+        definition = _app_definition(self.app)
+        if self.variant not in definition.variants():
             raise ValueError(
                 f"variant must be one of {list(definition.variants())} "
-                f"for app {app!r}, got {variant!r}"
+                f"for app {self.app!r}, got {self.variant!r}"
             )
-        if scenario is None:
-            scenario = definition.default_scenario()
-        seeds = tuple(seeds)
+        if self.scenario is None:
+            object.__setattr__(self, "scenario", definition.default_scenario())
+        seeds = tuple(self.seeds)
         if not seeds:
             raise ValueError("a spec needs at least one seed")
-        object.__setattr__(self, "app", app)
-        object.__setattr__(self, "variant", variant)
         object.__setattr__(self, "seeds", seeds)
-        object.__setattr__(self, "scenario", scenario)
-        object.__setattr__(self, "network", network or NetworkSpec())
-        object.__setattr__(self, "topology", topology)
-        object.__setattr__(self, "stp", stp)
-        object.__setattr__(self, "observe", observe)
-        object.__setattr__(self, "faults", faults)
-        object.__setattr__(self, "label", label)
-
-    # -- flattened-knob read access (kept: cheap, unambiguous) --------------
-
-    @property
-    def latency(self) -> LatencyModel | None:
-        return self.network.latency
-
-    @property
-    def loopback_latency(self) -> LatencyModel | None:
-        return self.network.loopback_latency
-
-    @property
-    def in_order(self) -> bool:
-        return self.network.in_order
-
-    @property
-    def drop_probability(self) -> float:
-        return self.network.drop_probability
-
-    @property
-    def ns_per_byte(self) -> int:
-        return self.network.ns_per_byte
 
     # -- derived configuration ---------------------------------------------
 
@@ -311,8 +212,11 @@ class ScenarioSpec:
     def sweep_name(self) -> str:
         """Cache/report identity of this spec's sweep.
 
-        The brake app keeps its historical ``spec-<variant>`` names (so
-        pre-topology caches stay warm); other apps include the app name.
+        ``spec-<variant>`` for the brake app, ``spec-<app>-<variant>``
+        otherwise, or the spec's label when it has one.  The name is
+        only one part of a cache key: the key also holds the spec's
+        JSON form and the :func:`~repro.harness.sweep.code_fingerprint`
+        of the whole ``repro`` tree, so no key outlives a code change.
         """
         if self.label:
             return self.label
@@ -426,47 +330,40 @@ class ScenarioSpec:
     def load(cls, path: str | Path) -> "ScenarioSpec":
         return cls.from_json(Path(path).read_text())
 
-    # -- CLI bridge ---------------------------------------------------------
 
-    @classmethod
-    def from_args(cls, args, variant: str | None = None) -> "ScenarioSpec":
-        """Build a spec from an ``argparse`` namespace.
+def _execute(
+    seed: int,
+    spec: ScenarioSpec,
+    fault_replay=None,
+    fault_universe=None,
+    fault_checkpointer=None,
+):
+    """One seed of *spec* through the app registry, unobserved."""
+    return spec.definition().runner(spec.variant)(
+        seed,
+        spec.effective_scenario(),
+        switch_config=spec.switch_config(),
+        fault_plan=spec.effective_faults(),
+        fault_replay=fault_replay,
+        fault_universe=fault_universe,
+        fault_checkpointer=fault_checkpointer,
+    )
 
-        ``--spec FILE`` (when present and set) wins outright; otherwise
-        the recognised loose flags — ``app``, ``seed``/``seeds``,
-        ``frames``, ``drop``, ``plan`` — are folded into a fresh spec.
-        Unknown attributes are ignored, so every subcommand can share
-        this.
-        """
-        spec_path = getattr(args, "spec", None)
-        if spec_path:
-            spec = cls.load(spec_path)
-            if variant is not None and spec.variant != variant:
-                spec = replace(spec, variant=variant)
-            return spec
-        app = getattr(args, "app", None) or "brake"
-        definition = _app_definition(app)
-        seeds: tuple[int, ...]
-        n_seeds = getattr(args, "seeds", None)
-        if n_seeds is not None:
-            seeds = tuple(range(int(n_seeds)))
-        else:
-            seeds = (int(getattr(args, "seed", 0) or 0),)
-        scenario = definition.default_scenario()
-        frames = getattr(args, "frames", None)
-        if frames is not None:
-            scenario = replace(scenario, n_frames=int(frames))
-        plan_path = getattr(args, "plan", None)
-        faults = FaultPlan.load(plan_path) if plan_path else None
-        drop = float(getattr(args, "drop_probability", 0.0) or 0.0)
-        return cls(
-            app=app,
-            variant=variant or "det",
-            seeds=seeds,
-            scenario=scenario,
-            network=NetworkSpec(drop_probability=drop),
-            faults=faults,
-        )
+
+def observe_spec(seed: int, spec: ScenarioSpec, flows: bool = False, **seams):
+    """Run one seed of *spec* under :func:`repro.obs.capture`.
+
+    Returns ``(observation, result)``: the observation holds the event
+    bus (for the trace export), the metrics registry and — with
+    *flows* — the causal flow registry.  *seams* are the fault-replay
+    keywords of :func:`run_scenario_spec`.  Observation never changes
+    the result: logical trace fingerprints match the unobserved run.
+    """
+    from repro.obs.context import capture
+
+    with capture(flows=flows) as observation:
+        result = _execute(seed, spec, **seams)
+    return observation, result
 
 
 def run_scenario_spec(
@@ -475,39 +372,39 @@ def run_scenario_spec(
     fault_replay=None,
     fault_universe=None,
     fault_checkpointer=None,
+    *,
+    flows: bool = False,
 ):
     """Picklable sweep worker: one seed of *spec*.
 
     Dispatches through :mod:`repro.apps.registry` — any registered
     app/variant runs through this single path.  Returns the runner's
-    :class:`BrakeRunResult`-shaped value; with ``spec.observe`` the run
-    executes under :func:`repro.obs.capture` and the metrics snapshot
-    is merged into ``result.fault_summary`` (the per-run digest channel
-    that survives pickling).  *fault_universe* and *fault_checkpointer*
-    feed the snapshot engine's fault-replay seam (see
-    :mod:`repro.snapshot`).
+    :class:`BrakeRunResult`-shaped value.  With ``spec.observe`` or
+    *flows* the seed runs through :func:`observe_spec` and its metrics
+    snapshot lands in ``result.fault_summary["metrics"]`` (the per-run
+    digest channel that survives pickling); *flows* also captures the
+    per-frame flows and adds their ``flow-report/v1`` as
+    ``fault_summary["flows"]``.  Flow capture costs time and report
+    size, so ``observe`` alone leaves it off.  *fault_universe* and
+    *fault_checkpointer* feed the snapshot engine's fault-replay seam
+    (see :mod:`repro.snapshot`).
     """
-    scenario = spec.effective_scenario()
-    switch_config = spec.switch_config()
-    experiment = spec.definition().runner(spec.variant)
-
-    def execute():
-        return experiment(
-            seed,
-            scenario,
-            switch_config=switch_config,
-            fault_plan=spec.effective_faults(),
-            fault_replay=fault_replay,
-            fault_universe=fault_universe,
-            fault_checkpointer=fault_checkpointer,
+    if not (spec.observe or flows):
+        return _execute(
+            seed, spec, fault_replay, fault_universe, fault_checkpointer
         )
-
-    if not spec.observe:
-        return execute()
-    from repro.obs.context import capture
-
-    with capture() as observation:
-        result = execute()
+    observation, result = observe_spec(
+        seed,
+        spec,
+        flows,
+        fault_replay=fault_replay,
+        fault_universe=fault_universe,
+        fault_checkpointer=fault_checkpointer,
+    )
     digest = dict(result.fault_summary or {})
     digest["metrics"] = observation.metrics.snapshot()
+    if flows:
+        from repro.obs.flows import flow_report
+
+        digest["flows"] = flow_report(observation.flows)
     return replace(result, fault_summary=digest)

@@ -60,7 +60,6 @@ __all__ = [
     "code_fingerprint",
     "driver_fingerprint",
     "default_workers",
-    "merge_metric_snapshots",
 ]
 
 DEFAULT_CACHE_DIR = ".repro_cache"
@@ -685,39 +684,21 @@ class SweepRunner:
         self.stats.record(result)
         return result
 
-    def run_spec(self, spec) -> SweepResult:
+    def run_spec(self, spec, *, flows: bool = False) -> SweepResult:
         """Sweep a :class:`repro.harness.ScenarioSpec` over its seeds.
 
         The spec's full JSON form is the cache parameter set, so any
         change to the scenario, network, STP bounds or fault plan is a
-        distinct cache entry.
+        distinct cache entry.  *flows* runs every seed with causal flow
+        capture (see :func:`~repro.harness.config.run_scenario_spec`)
+        under the sweep name ``<spec name>-flows``, so flow results and
+        plain results of the same spec never share a cache key.
         """
         from repro.harness.config import run_scenario_spec
 
-        experiment = partial(run_scenario_spec, spec=spec)
         return self.run(
-            experiment,
+            partial(run_scenario_spec, spec=spec, flows=flows),
             spec.seeds,
-            name=spec.sweep_name(),
+            name=spec.sweep_name() + ("-flows" if flows else ""),
             params={"spec": spec.to_dict()},
         )
-
-
-def merge_metric_snapshots(snapshots: Iterable[dict]) -> dict:
-    """Merge per-seed observability metric snapshots into one aggregate.
-
-    Sweep workers that run under :func:`repro.obs.capture` (for example
-    :func:`repro.obs.drivers.run_brake_with_obs`) return a
-    ``metrics`` snapshot per seed.  This merges N of them: counters and
-    gauge peaks become cross-seed distributions (p50/p95/max), and
-    fixed-bucket histograms merge bucket-by-bucket with re-estimated
-    quantiles.  Accepts either raw snapshots or full per-seed result
-    dicts carrying a ``"metrics"`` key.
-    """
-    from repro.obs.metrics import aggregate_snapshots
-
-    unwrapped = [
-        snapshot.get("metrics", snapshot) if isinstance(snapshot, dict) else snapshot
-        for snapshot in snapshots
-    ]
-    return aggregate_snapshots(unwrapped)

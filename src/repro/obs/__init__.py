@@ -31,7 +31,12 @@ Quick use::
     obs.write_trace(observation, "trace.json")      # open in Perfetto
     obs.write_metrics(observation, "metrics.json")
 
-or, from a shell: ``repro trace det --trace-out trace.json``.
+Seeded experiments get the same capture through their
+:class:`~repro.harness.ScenarioSpec`: ``observe=True`` attaches each
+seed's metrics snapshot to its result, and
+:func:`repro.harness.config.observe_spec` runs one seed and returns the
+observation itself — which is what ``repro trace det --trace-out
+trace.json`` does from a shell.
 """
 
 from repro.obs.bus import (
@@ -44,13 +49,6 @@ from repro.obs.bus import (
 )
 from repro.obs import fleet
 from repro.obs.context import Observation, NullObservation, active, capture
-from repro.obs.drivers import (
-    BRAKE_VARIANTS,
-    observe_brake_flows,
-    observe_brake_run,
-    run_brake_flows,
-    run_brake_with_obs,
-)
 from repro.obs.export import (
     metrics_document,
     trace_events,
@@ -131,9 +129,4 @@ __all__ = [
     "flow_report",
     "merge_flow_reports",
     "validate_flow_report",
-    "BRAKE_VARIANTS",
-    "observe_brake_run",
-    "run_brake_with_obs",
-    "observe_brake_flows",
-    "run_brake_flows",
 ]

@@ -19,8 +19,9 @@ observed and unobserved runs (asserted by ``tests/test_obs.py``).
 :func:`capture` installs a fresh :class:`Observation` for the duration
 of a ``with`` block (re-entrant: the previous handle is restored on
 exit).  Sweep workers run one seed per process, so a process-global
-handle is safe; the picklable drivers in :mod:`repro.obs.drivers` call
-:func:`capture` *inside* the worker.
+handle is safe; :func:`repro.harness.config.observe_spec`, the one
+observed-run path of the harness, calls :func:`capture` *inside* the
+worker.
 """
 
 from __future__ import annotations

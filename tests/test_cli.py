@@ -173,3 +173,45 @@ class TestServiceCLI:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["format"] == "sweep-service/v1"
         assert report["jobs"]
+
+
+@pytest.fixture
+def spec_4_5(tmp_path):
+    """A saved spec of seeds (4, 5) x 12 brake frames."""
+    from repro.apps.brake import BrakeScenario
+    from repro.harness import ScenarioSpec
+
+    path = tmp_path / "spec.json"
+    ScenarioSpec(seeds=(4, 5), scenario=BrakeScenario(n_frames=12)).save(path)
+    return str(path)
+
+
+class TestSpecFlag:
+    """``--spec`` decides the seeds and frames of every observed run."""
+
+    def test_metrics_sweeps_the_spec(self, tmp_path, spec_4_5):
+        out = tmp_path / "aggregate.json"
+        assert main([
+            "metrics", "det", "--spec", spec_4_5, "--workers", "1",
+            "--no-cache", "--metrics-out", str(out),
+        ]) == 0
+        document = json.loads(out.read_text())
+        assert document["seeds"] == 2
+        assert document["aggregate"]["seeds"] == 2
+        assert document["frames"] == 12
+
+    def test_trace_runs_the_first_spec_seed(self, tmp_path, spec_4_5, capsys):
+        assert main([
+            "trace", "det", "--spec", spec_4_5,
+            "--trace-out", str(tmp_path / "trace.json"),
+        ]) == 0
+        assert "seed 4, 12 frames" in capsys.readouterr().out
+
+    def test_export_runs_the_first_spec_seed(self, tmp_path, spec_4_5, capsys):
+        metrics = tmp_path / "metrics.json"
+        assert main([
+            "det", "--spec", spec_4_5, "--workers", "1", "--no-cache",
+            "--metrics-out", str(metrics),
+        ]) == 0
+        assert json.loads(metrics.read_text())["format"] == "repro-metrics/v1"
+        assert "brake det, seed 4" in capsys.readouterr().err

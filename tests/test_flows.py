@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro import obs
+from repro.harness.config import ScenarioSpec, observe_spec, run_scenario_spec
 from repro.obs.flows import (
     CAUSE_BUFFER_OVERWRITE,
     CAUSE_FAULT_DROP,
@@ -30,6 +31,17 @@ from repro.obs.metrics import MetricsRegistry, labeled, parse_labeled
 
 def _registry():
     return FlowRegistry(MetricsRegistry())
+
+
+def _flow_run(seed, scenario, variant, faults=None):
+    """One flow-traced seed's digest: ``flows`` report and ``metrics``."""
+    spec = ScenarioSpec(variant=variant, scenario=scenario, faults=faults)
+    return run_scenario_spec(seed, spec, flows=True).fault_summary
+
+
+def _observed(seed, scenario, variant="det", faults=None, flows=False):
+    spec = ScenarioSpec(variant=variant, scenario=scenario, faults=faults)
+    return observe_spec(seed, spec, flows=flows)
 
 
 class TestFlowIdOf:
@@ -221,11 +233,10 @@ class TestFlowReport:
 class TestBrakeFlows:
     def test_det_all_frames_delivered_with_quantiles(self):
         from repro.explore import calibration_scenario
-        from repro.obs.drivers import run_brake_flows
 
         scenario = calibration_scenario(20, deterministic_camera=True)
-        run = run_brake_flows(0, scenario, "det")
-        report = run["report"]
+        run = _flow_run(0, scenario, "det")
+        report = run["flows"]
         assert validate_flow_report(report) == []
         summary = report["summary"]
         assert summary["total"] >= 20
@@ -241,12 +252,10 @@ class TestBrakeFlows:
     def test_every_lost_frame_has_exactly_one_attribution(self):
         from repro.explore import calibration_scenario
         from repro.faults import FaultPlan
-        from repro.obs.drivers import run_brake_flows
 
         scenario = calibration_scenario(40, deterministic_camera=True)
         plan = FaultPlan.camera_faults(seed=3, drop=0.15, label="flows-test")
-        run = run_brake_flows(0, scenario, "det", fault_plan=plan)
-        report = run["report"]
+        report = _flow_run(0, scenario, "det", faults=plan)["flows"]
         assert validate_flow_report(report) == []
         summary = report["summary"]
         assert summary["dropped"] > 0, "fault plan should lose at least one frame"
@@ -261,18 +270,17 @@ class TestBrakeFlows:
     def test_drops_total_reconciles_with_attribution(self):
         from repro.explore import calibration_scenario
         from repro.faults import FaultPlan
-        from repro.obs.drivers import run_brake_flows
 
         scenario = calibration_scenario(40, deterministic_camera=True)
         plan = FaultPlan.camera_faults(seed=3, drop=0.2, label="flows-recon")
-        run = run_brake_flows(0, scenario, "det", fault_plan=plan)
+        run = _flow_run(0, scenario, "det", faults=plan)
         counters = run["metrics"]["counters"]
         by_cause: dict[str, int] = {}
         for name, value in counters.items():
             family, labels = parse_labeled(name)
             if family == "drops_total":
                 by_cause[labels["cause"]] = by_cause.get(labels["cause"], 0) + value
-        summary = run["report"]["summary"]
+        summary = run["flows"]["summary"]
         # Every attributed frame loss is backed by a labeled counter
         # increment; the counters may additionally count branch losses
         # (copies that died while the frame still delivered).
@@ -286,10 +294,8 @@ class TestBrakeFlows:
 
     def test_nondet_attributes_its_losses(self):
         from repro.apps.brake import BrakeScenario
-        from repro.obs.drivers import run_brake_flows
 
-        run = run_brake_flows(5, BrakeScenario(n_frames=120), "nondet")
-        report = run["report"]
+        report = _flow_run(5, BrakeScenario(n_frames=120), "nondet")["flows"]
         assert validate_flow_report(report) == []
         # The stock variant loses frames to app-level buffer overwrites
         # on most seeds; whatever happened, nothing may go unexplained.
@@ -301,35 +307,31 @@ class TestDeterminismInvariant:
     @pytest.mark.parametrize("seed", [0, 3])
     def test_fingerprints_identical_flows_on_off(self, variant, seed):
         from repro.explore import calibration_scenario
-        from repro.obs.drivers import observe_brake_flows, observe_brake_run
 
         scenario = calibration_scenario(15, deterministic_camera=True)
-        _, plain = observe_brake_run(seed, scenario, variant)
-        _, flowed = observe_brake_flows(seed, scenario, variant)
+        _, plain = _observed(seed, scenario, variant)
+        _, flowed = _observed(seed, scenario, variant, flows=True)
         assert dict(plain.trace_fingerprints) == dict(flowed.trace_fingerprints)
         assert plain.commands == flowed.commands
 
     def test_fingerprints_identical_under_faults(self):
         from repro.explore import calibration_scenario
         from repro.faults import FaultPlan
-        from repro.obs.drivers import observe_brake_flows
+        from repro.apps.brake.det import run_det_brake_assistant
 
         scenario = calibration_scenario(20, deterministic_camera=True)
         plan = FaultPlan.camera_faults(seed=1, drop=0.1, label="det-check")
-        from repro.apps.brake.det import run_det_brake_assistant
-
         baseline = run_det_brake_assistant(0, scenario, fault_plan=plan)
-        _, flowed = observe_brake_flows(0, scenario, "det", fault_plan=plan)
+        _, flowed = _observed(0, scenario, faults=plan, flows=True)
         assert dict(baseline.trace_fingerprints) == dict(flowed.trace_fingerprints)
 
 
 class TestFlowExport:
     def _observed(self):
         from repro.explore import calibration_scenario
-        from repro.obs.drivers import observe_brake_flows
 
         scenario = calibration_scenario(10, deterministic_camera=True)
-        observation, _ = observe_brake_flows(0, scenario, "det")
+        observation, _ = _observed(0, scenario, flows=True)
         return observation
 
     def test_flow_events_emitted_and_valid(self):
@@ -362,10 +364,9 @@ class TestFlowExport:
 
     def test_plain_observation_has_no_flow_events(self):
         from repro.explore import calibration_scenario
-        from repro.obs.drivers import observe_brake_run
 
         scenario = calibration_scenario(10, deterministic_camera=True)
-        observation, _ = observe_brake_run(0, scenario, "det")
+        observation, _ = _observed(0, scenario)
         phases = {e["ph"] for e in obs.trace_events(observation)}
         assert phases <= {"M", "X", "i"}
 

@@ -358,14 +358,45 @@ class TestZeroPerturbation:
         assert len(observation.bus) > 0
 
 
+def _app_variants():
+    from repro import apps
+
+    return [
+        (name, variant)
+        for name in apps.names()
+        for variant in apps.get(name).variants()
+    ]
+
+
+class TestObsOnEqualsOff:
+    """Observation and flow capture never change a run, for any app."""
+
+    @pytest.mark.parametrize("app,variant", _app_variants())
+    def test_observed_flow_run_matches_plain_run(self, app, variant):
+        from dataclasses import replace
+
+        from repro.harness.config import ScenarioSpec, run_scenario_spec
+
+        spec = ScenarioSpec(app=app, variant=variant)
+        spec = replace(spec, scenario=replace(spec.scenario, n_frames=24))
+        plain = run_scenario_spec(3, spec)
+        observed = run_scenario_spec(3, replace(spec, observe=True), flows=True)
+        assert observed.outcome_digest() == plain.outcome_digest()
+        assert dict(observed.trace_fingerprints) == dict(plain.trace_fingerprints)
+        assert {"metrics", "flows"} <= set(observed.fault_summary)
+        assert "flows" not in (plain.fault_summary or {})
+
+
 class TestAcceptance:
     """ISSUE acceptance: 4+ tracks in the brake trace; 10+ seed merge."""
 
     def test_brake_trace_has_four_tracks(self, tmp_path):
         from repro.explore import calibration_scenario
 
+        from repro.harness.config import ScenarioSpec, observe_spec
+
         scenario = calibration_scenario(20, deterministic_camera=True)
-        observation, _ = obs.observe_brake_run(0, scenario, "det")
+        observation, _ = observe_spec(0, ScenarioSpec(scenario=scenario))
         assert set(observation.bus.tracks()) >= {
             "scheduler",
             "reactors",
@@ -378,22 +409,20 @@ class TestAcceptance:
         assert len(data["otherData"]["tracks"]) >= 4
 
     def test_histogram_aggregated_across_ten_sweep_seeds(self, tmp_path):
-        from functools import partial
-
         from repro.explore import calibration_scenario
-        from repro.harness.sweep import SweepRunner, merge_metric_snapshots
-        from repro.obs.drivers import run_brake_with_obs
+        from repro.harness import ScenarioSpec, SweepRunner
 
-        scenario = calibration_scenario(10, deterministic_camera=True)
-        sweep = SweepRunner(workers=2, use_cache=False)
-        runs = sweep.map(
-            partial(run_brake_with_obs, scenario=scenario, variant="det"),
-            range(10),
-            name="test-obs-sweep",
+        spec = ScenarioSpec(
+            seeds=tuple(range(10)),
+            scenario=calibration_scenario(10, deterministic_camera=True),
+            observe=True,
         )
+        sweep = SweepRunner(workers=2, use_cache=False)
+        runs = sweep.run_spec(spec).values()
         assert len(runs) == 10
-        assert all(run["tracks"] for run in runs)
-        aggregate = merge_metric_snapshots(runs)
+        aggregate = obs.aggregate_snapshots(
+            [run.fault_summary["metrics"] for run in runs]
+        )
         assert aggregate["seeds"] == 10
         lag = aggregate["histograms"]["reactor.lag_ns"]
         assert lag["seeds_observed"] == 10
@@ -404,9 +433,10 @@ class TestAcceptance:
         import pickle
         from functools import partial
 
-        from repro.obs.drivers import run_brake_with_obs
+        from repro.harness.config import ScenarioSpec, run_scenario_spec
 
-        pickle.dumps(partial(run_brake_with_obs, variant="det"))
+        spec = ScenarioSpec(observe=True)
+        pickle.loads(pickle.dumps(partial(run_scenario_spec, spec=spec, flows=True)))
 
 
 class TestCli:

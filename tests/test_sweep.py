@@ -176,6 +176,61 @@ class TestResultCache:
         assert len(code_fingerprint()) == 16
 
 
+class TestFlowSweepCache:
+    SPEC_FRAMES = 8
+
+    def _spec(self):
+        from repro.harness import ScenarioSpec
+
+        return ScenarioSpec(
+            seeds=(0, 1), scenario=BrakeScenario(n_frames=self.SPEC_FRAMES)
+        )
+
+    def test_flow_sweep_never_reuses_plain_results(self, tmp_path):
+        spec = self._spec()
+        sweep = SweepRunner(workers=1, use_cache=True, cache_dir=tmp_path)
+        plain = sweep.run_spec(spec)
+        flowed = sweep.run_spec(spec, flows=True)
+        assert plain.cache_hits == 0
+        assert flowed.cache_hits == 0
+        assert all("flows" not in (run.fault_summary or {}) for run in plain.values())
+        assert all("flows" in run.fault_summary for run in flowed.values())
+
+    def test_each_kind_hits_its_own_entries(self, tmp_path):
+        spec = self._spec()
+        SweepRunner(workers=1, use_cache=True, cache_dir=tmp_path).run_spec(
+            spec, flows=True
+        )
+        warm = SweepRunner(workers=1, use_cache=True, cache_dir=tmp_path)
+        plain = warm.run_spec(spec)
+        assert plain.cache_hits == 0
+        flowed = warm.run_spec(spec, flows=True)
+        assert flowed.cache_hits == 2
+        assert all("flows" in run.fault_summary for run in flowed.values())
+
+    def test_repeated_flows_command_is_all_cache_hits(self, tmp_path, monkeypatch):
+        import repro.cli as cli
+
+        sweeps = []
+        make_sweep = cli._make_sweep
+
+        def recording(args):
+            sweeps.append(make_sweep(args))
+            return sweeps[-1]
+
+        monkeypatch.setattr(cli, "_make_sweep", recording)
+        argv = [
+            "flows", "--seeds", "2", "--frames", str(self.SPEC_FRAMES),
+            "--workers", "1", "--cache-dir", str(tmp_path),
+        ]
+        assert cli.main(argv) == 0
+        assert cli.main(argv) == 0
+        first, second = (sweep.stats for sweep in sweeps)
+        assert first.cache_hits == 0
+        assert second.seeds == 4
+        assert second.cache_hits == second.seeds
+
+
 def _load_external_driver(path):
     import importlib.util
     import sys
