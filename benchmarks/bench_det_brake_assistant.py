@@ -16,16 +16,19 @@ Scale knobs: ``REPRO_DET_SEEDS`` (default 5), ``REPRO_DET_FRAMES``
 """
 
 from repro.apps.brake import BrakeScenario
-from repro.harness import SweepRunner, env_int
+from repro.harness import ScenarioSpec, SweepRunner, env_int
 from repro.harness.figures import det_case_study
 
 
 def test_det_case_study(benchmark, show, bench_json):
     n_seeds = env_int("REPRO_DET_SEEDS", 5)
     n_frames = env_int("REPRO_DET_FRAMES", 500)
+    spec = ScenarioSpec(
+        seeds=tuple(range(n_seeds)), scenario=BrakeScenario(n_frames=n_frames)
+    )
     runner = SweepRunner()
     result = benchmark.pedantic(
-        det_case_study, args=(n_seeds, n_frames), kwargs={"sweep": runner},
+        det_case_study, args=(spec, runner),
         rounds=1, iterations=1,
     )
     show(result.render())

@@ -13,50 +13,30 @@ violations, mismatches and lost frames — degradation is observable,
 never silent.
 """
 
-from functools import partial
-
-from repro.apps.brake import BrakeScenario, run_det_brake_assistant
+from repro.apps.brake import BrakeScenario
 from repro.analysis.report import render_table
-from repro.harness import SweepRunner, env_int
+from repro.harness import ScenarioSpec, SweepRunner, env_int
+from repro.harness.figures import distributed
 from repro.time import MS
 
-
-def _point(configuration, n_frames):
-    skew, error = configuration
-    scenario = BrakeScenario(
-        n_frames=n_frames,
-        distributed=True,
-        processing_clock_skew_ns=skew,
-        clock_error_ns=error,
-    )
-    return run_det_brake_assistant(0, scenario)
-
-
-def sweep(n_frames, runner=None):
-    configurations = [
-        (0, 0),
-        (5 * MS, 0),
-        (15 * MS, 0),
-        (20 * MS, 0),
-        (20 * MS, 25 * MS),
-    ]
-    runner = runner or SweepRunner()
-    runs = runner.map(
-        partial(_point, n_frames=n_frames),
-        configurations,
-        name="ext-dist-bench",
-        params={"n_frames": n_frames},
-    )
-    return [(skew, error, run) for (skew, error), run in zip(configurations, runs)]
+CONFIGURATIONS = [
+    (0, 0),
+    (5 * MS, 0),
+    (15 * MS, 0),
+    (20 * MS, 0),
+    (20 * MS, 25 * MS),
+]
 
 
 def test_distributed_brake_assistant(benchmark, show, bench_json):
     n_frames = env_int("REPRO_DIST_FRAMES", 200)
+    spec = ScenarioSpec(scenario=BrakeScenario(n_frames=n_frames))
     runner = SweepRunner()
-    rows = benchmark.pedantic(
-        sweep, args=(n_frames,), kwargs={"runner": runner},
+    result = benchmark.pedantic(
+        distributed, args=(spec, CONFIGURATIONS, runner),
         rounds=1, iterations=1,
     )
+    rows = result.runs
     bench_json.sweep(runner).record(
         frames=n_frames,
         configurations=[

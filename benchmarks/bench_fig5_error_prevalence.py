@@ -14,16 +14,22 @@ Scale knobs: ``REPRO_FIG5_RUNS`` (default 20) and
 ``REPRO_BRAKE_FRAMES`` (default 2000; paper scale is 100000).
 """
 
-from repro.harness import SweepRunner, env_int
+from repro.apps.brake import BrakeScenario
+from repro.harness import ScenarioSpec, SweepRunner, env_int
 from repro.harness.figures import figure5
 
 
 def test_figure5(benchmark, show, bench_json):
     n_runs = env_int("REPRO_FIG5_RUNS", 20)
     n_frames = env_int("REPRO_BRAKE_FRAMES", 2_000)
+    spec = ScenarioSpec(
+        variant="nondet",
+        seeds=tuple(range(n_runs)),
+        scenario=BrakeScenario(n_frames=n_frames),
+    )
     runner = SweepRunner()
     result = benchmark.pedantic(
-        figure5, args=(n_runs, n_frames), kwargs={"sweep": runner},
+        figure5, args=(spec, runner),
         rounds=1, iterations=1,
     )
     show(result.render())

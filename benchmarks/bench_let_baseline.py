@@ -11,16 +11,18 @@ across seeds, its end-to-end latency is (pipeline depth) x (period) =
 budget to the period chain (~2.5x here).
 """
 
-from repro.harness import SweepRunner, env_int
+from repro.apps.brake import BrakeScenario
+from repro.harness import ScenarioSpec, SweepRunner, env_int
 from repro.harness.figures import let_baseline
 from repro.time import MS
 
 
 def test_let_baseline(benchmark, show, bench_json):
     n_frames = env_int("REPRO_LET_FRAMES", 300)
+    spec = ScenarioSpec(seeds=(0, 1, 2), scenario=BrakeScenario(n_frames=n_frames))
     runner = SweepRunner()
     result = benchmark.pedantic(
-        let_baseline, kwargs={"n_frames": n_frames, "sweep": runner},
+        let_baseline, args=(spec, runner),
         rounds=1, iterations=1,
     )
     show(result.render())

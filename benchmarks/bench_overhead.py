@@ -18,16 +18,17 @@ import time
 from repro import obs
 from repro.apps.brake import BrakeScenario
 from repro.apps.brake.det import run_det_brake_assistant
-from repro.harness import SweepRunner, env_int
+from repro.harness import ScenarioSpec, SweepRunner, env_int
 from repro.harness.figures import overhead
 from repro.obs import context as obs_context
 
 
 def test_overhead(benchmark, show, bench_json):
     n_frames = env_int("REPRO_OVERHEAD_FRAMES", 400)
+    spec = ScenarioSpec(scenario=BrakeScenario(n_frames=n_frames))
     runner = SweepRunner()
     result = benchmark.pedantic(
-        overhead, kwargs={"n_frames": n_frames, "sweep": runner},
+        overhead, args=(spec, runner),
         rounds=1, iterations=1,
     )
     show(result.render())

@@ -11,16 +11,18 @@ violations and losses appear and grow as the deadline shrinks; the
 end-to-end latency grows monotonically with the deadline budget.
 """
 
-from repro.harness import SweepRunner, env_int
+from repro.apps.brake import BrakeScenario
+from repro.harness import ScenarioSpec, SweepRunner, env_int
 from repro.harness.figures import tradeoff
 from repro.time import MS
 
 
 def test_deadline_tradeoff(benchmark, show, bench_json):
     n_frames = env_int("REPRO_TRADEOFF_FRAMES", 300)
+    spec = ScenarioSpec(scenario=BrakeScenario(n_frames=n_frames))
     runner = SweepRunner()
     result = benchmark.pedantic(
-        tradeoff, kwargs={"n_frames": n_frames, "sweep": runner},
+        tradeoff, kwargs={"spec": spec, "sweep": runner},
         rounds=1, iterations=1,
     )
     show(result.render())

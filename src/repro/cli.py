@@ -570,16 +570,20 @@ def _load_spec(args: argparse.Namespace):
 
 
 def _cli_spec(
-    args: argparse.Namespace, variant: str = "det", brake_frames: int | None = None
+    args: argparse.Namespace,
+    variant: str = "det",
+    brake_frames: int | None = None,
+    n_seeds: int | None = None,
 ):
     """The :class:`ScenarioSpec` a seeded subcommand runs.
 
     ``--spec FILE`` wins, with *variant* applied.  Otherwise the spec is
-    ``--app`` (brake by default) with seeds ``0..N-1`` from ``--seeds
-    N`` or the single ``--seed``, and ``--frames`` applied to the app's
-    default scenario; without ``--frames`` brake runs *brake_frames*
-    frames (the subcommand's own default) and library apps their
-    scenario's own size.
+    ``--app`` (brake by default) with seeds ``0..N-1`` from *n_seeds*
+    (a subcommand's own seed count, e.g. ``fig5 --runs``) or ``--seeds
+    N``, else the single ``--seed``, and ``--frames`` applied to the
+    app's default scenario; without ``--frames`` brake runs
+    *brake_frames* frames (the subcommand's own default) and library
+    apps their scenario's own size.
     """
     from dataclasses import replace
 
@@ -596,7 +600,8 @@ def _cli_spec(
     scenario = apps.get(app).default_scenario()
     if frames is not None:
         scenario = replace(scenario, n_frames=frames)
-    n_seeds = getattr(args, "seeds", None)
+    if n_seeds is None:
+        n_seeds = getattr(args, "seeds", None)
     seeds = range(n_seeds) if n_seeds is not None else (getattr(args, "seed", 0),)
     return ScenarioSpec(
         app=app, variant=variant, seeds=tuple(seeds), scenario=scenario
@@ -643,73 +648,30 @@ def _run_one(name: str, args: argparse.Namespace, sweep) -> str:
         return figures.figure1(nondet_seeds=args.seeds, sweep=sweep).render()
     if name == "fig3":
         return figures.figure3_sequence().render()
-    if name == "fig5":
-        return figures.figure5(
-            n_runs=args.runs, n_frames=args.frames, sweep=sweep, spec=spec
-        ).render()
-    if name == "det":
-        return figures.det_case_study(
-            n_seeds=args.seeds, n_frames=args.frames, sweep=sweep, spec=spec
-        ).render()
-    if name == "tradeoff":
-        return figures.tradeoff(
-            n_frames=args.frames, sweep=sweep, spec=spec
-        ).render()
     if name == "ablation":
-        return figures.ablation_sources(n_seeds=args.seeds, sweep=sweep).render()
-    if name == "overhead":
-        return figures.overhead(
-            n_frames=args.frames, sweep=sweep, spec=spec
-        ).render()
-    if name == "let":
-        return figures.let_baseline(n_frames=args.frames, sweep=sweep).render()
+        return figures.ablation_sources(args.seeds, sweep).render()
     if name == "skew":
         return extensions.clock_skew_sweep(sweep=sweep, spec=spec).render()
     if name == "scaling":
         return extensions.pipeline_scaling(sweep=sweep, spec=spec).render()
     if name == "native":
         return extensions.native_transport_comparison(sweep=sweep).render()
+    # The brake figures: presets over one spec each.
+    if name == "fig5":
+        return figures.figure5(
+            _cli_spec(args, "nondet", n_seeds=args.runs), sweep
+        ).render()
+    if name == "let":
+        return figures.let_baseline(_cli_spec(args, n_seeds=3), sweep).render()
+    if name == "det":
+        return figures.det_case_study(_cli_spec(args), sweep).render()
+    if name == "tradeoff":
+        return figures.tradeoff(_cli_spec(args), sweep=sweep).render()
+    if name == "overhead":
+        return figures.overhead(_cli_spec(args), sweep).render()
     if name == "distributed":
-        return _render_distributed(args.frames, sweep)
+        return figures.distributed(_cli_spec(args), sweep=sweep).render()
     raise ValueError(f"unknown command {name!r}")
-
-
-def _distributed_point(configuration, frames: int):
-    """One (skew, assumed E) distributed run (runs in a worker)."""
-    from repro.apps.brake import BrakeScenario, run_det_brake_assistant
-
-    skew, error = configuration
-    scenario = BrakeScenario(
-        n_frames=frames, distributed=True,
-        processing_clock_skew_ns=skew, clock_error_ns=error,
-    )
-    return run_det_brake_assistant(0, scenario)
-
-
-def _render_distributed(frames: int, sweep) -> str:
-    from functools import partial
-
-    from repro.analysis.report import render_table
-    from repro.time import MS
-
-    configurations = [(0, 0), (15 * MS, 0), (20 * MS, 25 * MS)]
-    runs = sweep.map(
-        partial(_distributed_point, frames=frames),
-        configurations,
-        name="ext-dist",
-        params={"frames": frames},
-    )
-    rows = []
-    for (skew, error), run in zip(configurations, runs):
-        rows.append([
-            f"{skew / 1e6:.0f} ms", f"{error / 1e6:.0f} ms",
-            str(run.stp_violations), f"{len(run.commands)}/{frames}",
-        ])
-    return render_table(
-        ["clock skew", "assumed E", "STP violations", "frames answered"],
-        rows,
-        title="EXT-DIST - distributed brake assistant:",
-    )
 
 
 def _explore_scenario(app: str, frames: int, deterministic: bool = False):
@@ -1722,7 +1684,12 @@ def main(argv: list[str] | None = None) -> int:
             print(sweep.stats.summary_line(), file=sys.stderr)
         return code
     if args.command != "all":
-        print(_run_one(args.command, args, sweep))
+        from repro.harness.figures import BrakeSpecError
+
+        try:
+            print(_run_one(args.command, args, sweep))
+        except BrakeSpecError as error:
+            raise SystemExit(f"repro {args.command}: {error}") from None
         _export_observability(args)
         if sweep.stats.sweeps:
             print(sweep.stats.summary_line(), file=sys.stderr)

@@ -4,6 +4,13 @@ Each function runs its experiment and returns a result object whose
 ``render()`` produces the text form of the paper artifact.  Benchmarks
 under ``benchmarks/`` call these and assert the expected *shapes*.
 
+The brake figures (``figure5``, ``det_case_study``, ``tradeoff``,
+``overhead``, ``let_baseline``, ``distributed``) run every seed of one
+:class:`~repro.harness.config.ScenarioSpec` through ``run_scenario_spec``;
+``spec=None`` is the figure's paper default, another app's spec raises
+:class:`BrakeSpecError`.  Only sweep axes that are not spec fields stay
+parameters: ``tradeoff``'s deadlines, ``distributed``'s (skew, E) pairs.
+
 Every sweep-shaped driver accepts an optional ``sweep``
 (:class:`repro.harness.sweep.SweepRunner`): pass one to control worker
 count and caching and to collect a throughput summary; omit it and the
@@ -16,17 +23,13 @@ so output is bit-identical to a sequential run.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 from repro.analysis.report import ascii_bar_chart, histogram_table, render_table
 from repro.analysis.stats import Summary, summarize
 from repro.apps import counter
-from repro.apps.brake import (
-    BrakeScenario,
-    run_det_brake_assistant,
-    run_nondet_brake_assistant,
-)
+from repro.apps.brake import BrakeScenario
 from repro.apps.brake.instrumentation import ERROR_TYPES, BrakeRunResult
 from repro.apps.brake.logic import (
     decide_brake,
@@ -267,6 +270,48 @@ def figure3_sequence(seed: int = 0) -> Figure3Result:
 
 
 # ---------------------------------------------------------------------------
+# The brake figures' one way to run a seed.
+# ---------------------------------------------------------------------------
+
+
+class BrakeSpecError(ValueError):
+    """A brake figure was handed a spec of another app."""
+
+
+def _brake_spec(
+    spec: ScenarioSpec | None, variant: str, seeds: int, n_frames: int
+) -> ScenarioSpec:
+    """*spec* as a brake figure's *variant*; ``None`` is the paper default.
+
+    The one place that rejects other apps' specs.
+    """
+    if spec is None:
+        scenario = BrakeScenario(n_frames=n_frames)
+        return ScenarioSpec(variant=variant, seeds=range(seeds), scenario=scenario)
+    if spec.app != "brake":
+        raise BrakeSpecError(f"a brake figure cannot run app {spec.app!r}")
+    return replace(spec, variant=variant)
+
+
+def _spec_point(overrides: dict, spec: ScenarioSpec):
+    """The spec's first seed with *overrides* on its (STP-applied) scenario."""
+    scenario = replace(spec.effective_scenario(), **overrides)
+    return run_scenario_spec(spec.seeds[0], replace(spec, stp=None, scenario=scenario))
+
+
+def _spec_points(
+    spec: ScenarioSpec, overrides: list[dict], name: str, sweep: SweepRunner | None
+) -> list:
+    """One :func:`_spec_point` per entry of *overrides*, swept."""
+    return (sweep or SweepRunner()).map(
+        partial(_spec_point, spec=spec),
+        overrides,
+        name=name,
+        params={"spec": spec.to_dict()},
+    )
+
+
+# ---------------------------------------------------------------------------
 # FIG5 — error prevalence of the stock brake assistant.
 # ---------------------------------------------------------------------------
 
@@ -327,30 +372,16 @@ class Figure5Result:
 
 
 def figure5(
-    n_runs: int = 20,
-    n_frames: int = 2_000,
-    sweep: SweepRunner | None = None,
-    spec: ScenarioSpec | None = None,
+    spec: ScenarioSpec | None = None, sweep: SweepRunner | None = None
 ) -> Figure5Result:
-    """Reproduce Figure 5: 20 stock runs, counting the four error types.
+    """Reproduce Figure 5: stock runs, counting the four error types.
 
-    With *spec*, the spec's seeds, scenario, network and fault plan
-    define the sweep (``n_runs``/``n_frames`` are ignored) and the runs
-    go through :meth:`SweepRunner.run_spec`.
+    Sweeps the stock variant of *spec* over its seeds; the default is
+    20 seeds x 2000 frames.
     """
-    sweep = sweep or SweepRunner()
-    if spec is not None:
-        spec = replace(spec, variant="nondet")
-        runs = sweep.run_spec(spec).values()
-        return Figure5Result(runs, spec.effective_scenario().n_frames)
-    scenario = BrakeScenario(n_frames=n_frames)
-    runs = sweep.map(
-        partial(run_nondet_brake_assistant, scenario=scenario),
-        range(n_runs),
-        name="fig5",
-        params=asdict(scenario),
-    )
-    return Figure5Result(runs, n_frames)
+    spec = _brake_spec(spec, "nondet", seeds=20, n_frames=2_000)
+    runs = (sweep or SweepRunner()).run_spec(spec).values()
+    return Figure5Result(runs, spec.effective_scenario().n_frames)
 
 
 # ---------------------------------------------------------------------------
@@ -393,40 +424,29 @@ class DetCaseStudyResult:
 
 
 def det_case_study(
-    n_seeds: int = 5,
-    n_frames: int = 500,
-    sweep: SweepRunner | None = None,
-    spec: ScenarioSpec | None = None,
+    spec: ScenarioSpec | None = None, sweep: SweepRunner | None = None
 ) -> DetCaseStudyResult:
     """Reproduce Section IV.B: zero errors, determinism, bounded latency.
 
-    With *spec*, the spec's seeds, scenario, network and fault plan
-    define the sweep (``n_seeds``/``n_frames`` are ignored).
+    Sweeps the DEAR variant of *spec* over its seeds (default 5 seeds x
+    500 frames), then checks logical trace identity on seeds 0..2 of
+    the same spec with a deterministic camera and at most 200 frames.
     """
     sweep = sweep or SweepRunner()
-    if spec is not None:
-        spec = replace(spec, variant="det")
-        scenario = spec.effective_scenario()
-        n_frames = scenario.n_frames
-        runs = sweep.run_spec(spec).values()
-    else:
-        scenario = BrakeScenario(n_frames=n_frames)
-        runs = sweep.map(
-            partial(run_det_brake_assistant, scenario=scenario),
-            range(n_seeds),
-            name="det",
-            params=asdict(scenario),
-        )
+    spec = _brake_spec(spec, "det", seeds=5, n_frames=500)
+    scenario = spec.effective_scenario()
+    n_frames = scenario.n_frames
+    runs = sweep.run_spec(spec).values()
     command_sets = {tuple(sorted(run.commands.items())) for run in runs}
-    det_scenario = replace(
-        scenario, n_frames=min(n_frames, 200), deterministic_camera=True
+    trace_spec = replace(
+        spec,
+        seeds=(0, 1, 2),
+        scenario=replace(
+            spec.scenario, n_frames=min(n_frames, 200), deterministic_camera=True
+        ),
+        label="det-trace",
     )
-    trace_runs = sweep.map(
-        partial(run_det_brake_assistant, scenario=det_scenario),
-        range(3),
-        name="det-trace",
-        params=asdict(det_scenario),
-    )
+    trace_runs = sweep.run_spec(trace_spec).values()
     fingerprints = {
         tuple(sorted(run.trace_fingerprints.items())) for run in trace_runs
     }
@@ -491,60 +511,36 @@ class TradeoffResult:
         )
 
 
-def _tradeoff_point(
-    deadline_ns: int,
-    n_frames: int,
-    seed: int,
-    base: BrakeScenario | None = None,
-) -> TradeoffPoint:
-    """One deadline setting of the trade-off sweep (runs in a worker)."""
-    scenario = replace(
-        base or BrakeScenario(),
-        n_frames=n_frames,
-        preprocessing_deadline_ns=deadline_ns,
-        computer_vision_deadline_ns=deadline_ns,
-    )
-    run = run_det_brake_assistant(seed, scenario)
-    latencies = list(run.latencies_ns.values())
-    return TradeoffPoint(
-        deadline_ns=deadline_ns,
-        deadline_misses=run.deadline_misses,
-        frames_lost=n_frames - len(run.commands),
-        latency_mean_ns=(sum(latencies) / len(latencies)) if latencies else 0,
-        latency_max_ns=max(latencies) if latencies else 0,
-    )
-
-
 def tradeoff(
-    deadlines_ns: list[int] | None = None,
-    n_frames: int = 300,
-    seed: int = 0,
-    sweep: SweepRunner | None = None,
     spec: ScenarioSpec | None = None,
+    deadlines_ns: list[int] | None = None,
+    sweep: SweepRunner | None = None,
 ) -> TradeoffResult:
     """Sweep the heavy stages' deadlines below and above their WCET.
 
-    With *spec*, its scenario is the base every deadline point is
-    derived from and its first seed drives the runs.
+    Every deadline point runs the first seed of *spec*'s DEAR variant
+    (default seed 0 x 300 frames) with Preprocessing's and Computer
+    Vision's deadlines set to that point.
     """
     if deadlines_ns is None:
         deadlines_ns = [10 * MS, 15 * MS, 18 * MS, 22 * MS, 25 * MS, 35 * MS]
-    sweep = sweep or SweepRunner()
-    base = None
-    if spec is not None:
-        base = spec.effective_scenario()
-        n_frames = base.n_frames
-        seed = spec.seeds[0]
-    points = sweep.map(
-        partial(_tradeoff_point, n_frames=n_frames, seed=seed, base=base),
-        deadlines_ns,
-        name="tradeoff",
-        params={
-            "n_frames": n_frames,
-            "seed": seed,
-            "base": asdict(base) if base else None,
-        },
-    )
+    spec = _brake_spec(spec, "det", seeds=1, n_frames=300)
+    n_frames = spec.effective_scenario().n_frames
+    overrides = [
+        dict(preprocessing_deadline_ns=d, computer_vision_deadline_ns=d)
+        for d in deadlines_ns
+    ]
+    runs = _spec_points(spec, overrides, "tradeoff", sweep)
+    points = []
+    for deadline_ns, run in zip(deadlines_ns, runs):
+        latencies = list(run.latencies_ns.values())
+        points.append(TradeoffPoint(
+            deadline_ns=deadline_ns,
+            deadline_misses=run.deadline_misses,
+            frames_lost=n_frames - len(run.commands),
+            latency_mean_ns=(sum(latencies) / len(latencies)) if latencies else 0,
+            latency_max_ns=max(latencies) if latencies else 0,
+        ))
     return TradeoffResult(points, n_frames)
 
 
@@ -575,7 +571,7 @@ class AblationResult:
 
 
 def ablation_sources(
-    n_seeds: int = 25, sweep: SweepRunner | None = None
+    seeds_per_config: int = 25, sweep: SweepRunner | None = None
 ) -> AblationResult:
     """Toggle each source of nondeterminism individually."""
     sweep = sweep or SweepRunner()
@@ -596,7 +592,7 @@ def ablation_sources(
     for label, kwargs in configurations:
         runs = sweep.map(
             partial(counter.run_variant, **kwargs),
-            range(n_seeds),
+            range(seeds_per_config),
             name="ablation",
             params={"config": label},
         )
@@ -642,49 +638,20 @@ class OverheadResult:
         )
 
 
-def _overhead_variant(variant: str, n_frames: int, seed: int) -> BrakeRunResult:
-    """One variant of the overhead comparison (runs in a worker)."""
-    scenario = BrakeScenario(n_frames=n_frames)
-    runner = (
-        run_nondet_brake_assistant if variant == "stock"
-        else run_det_brake_assistant
-    )
-    return runner(seed, scenario)
-
-
 def overhead(
-    n_frames: int = 400,
-    seed: int = 0,
-    sweep: SweepRunner | None = None,
-    spec: ScenarioSpec | None = None,
+    spec: ScenarioSpec | None = None, sweep: SweepRunner | None = None
 ) -> OverheadResult:
     """Compare end-to-end latency and completeness of the two variants.
 
-    With *spec*, both variants run the spec's scenario/network/faults
-    on its first seed through :func:`run_scenario_spec`.
+    Both variants run the first seed of *spec* (default seed 0 x 400
+    frames).
     """
     sweep = sweep or SweepRunner()
-    if spec is not None:
-        seed = spec.seeds[0]
-        n_frames = spec.effective_scenario().n_frames
-        stock, dear = sweep.map(
-            partial(run_scenario_spec, spec=replace(spec, variant="nondet")),
-            [seed],
-            name="overhead-stock",
-            params={"spec": spec.to_dict()},
-        ) + sweep.map(
-            partial(run_scenario_spec, spec=replace(spec, variant="det")),
-            [seed],
-            name="overhead-dear",
-            params={"spec": spec.to_dict()},
-        )
-    else:
-        stock, dear = sweep.map(
-            partial(_overhead_variant, n_frames=n_frames, seed=seed),
-            ["stock", "dear"],
-            name="overhead",
-            params={"n_frames": n_frames, "seed": seed},
-        )
+    spec = _brake_spec(spec, "det", seeds=1, n_frames=400)
+    spec = spec.with_seeds(spec.seeds[:1])
+    n_frames = spec.effective_scenario().n_frames
+    (stock,) = sweep.run_spec(replace(spec, variant="nondet")).values()
+    (dear,) = sweep.run_spec(spec).values()
     return OverheadResult(
         stock_latency=summarize(list(stock.latencies_ns.values())),
         dear_latency=summarize(list(dear.latencies_ns.values())),
@@ -802,23 +769,83 @@ def _let_run(seed: int, n_frames: int):
 
 
 def let_baseline(
-    n_frames: int = 300, n_seeds: int = 3, sweep: SweepRunner | None = None
+    spec: ScenarioSpec | None = None, sweep: SweepRunner | None = None
 ) -> LetBaselineResult:
-    """The brake pipeline as LET tasks, compared against DEAR."""
+    """The brake pipeline as LET tasks, compared against DEAR.
+
+    The LET pipeline runs *spec*'s seeds and frame count (default 3
+    seeds x 300 frames); the DEAR reference is the spec's first seed
+    at most 300 frames long.
+    """
     sweep = sweep or SweepRunner()
+    spec = _brake_spec(spec, "det", seeds=3, n_frames=300)
+    n_frames = spec.effective_scenario().n_frames
     outcomes = sweep.map(
         partial(_let_run, n_frames=n_frames),
-        range(n_seeds),
+        spec.seeds,
         name="let",
         params={"n_frames": n_frames},
     )
     command_sets = {tuple(sorted(commands.items())) for commands, _ in outcomes}
     latencies = outcomes[0][1]
-    dear = run_det_brake_assistant(0, BrakeScenario(n_frames=min(n_frames, 300)))
+    dear = _spec_point({"n_frames": min(n_frames, 300)}, spec)
     return LetBaselineResult(
         deterministic=len(command_sets) == 1,
         let_latency=summarize(latencies),
         dear_latency=summarize(list(dear.latencies_ns.values())),
         frames_out=len(outcomes[0][0]),
         n_frames=n_frames,
+    )
+
+
+# ---------------------------------------------------------------------------
+# EXT-DIST — the brake assistant across two processing ECUs.
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class DistributedResult:
+    """One distributed DEAR run per (clock skew, assumed E) configuration."""
+
+    runs: list[tuple[int, int, BrakeRunResult]]
+    n_frames: int
+
+    def render(self) -> str:
+        rows = [
+            [
+                f"{skew / 1e6:.0f} ms", f"{error / 1e6:.0f} ms",
+                str(run.stp_violations), f"{len(run.commands)}/{self.n_frames}",
+            ]
+            for skew, error, run in self.runs
+        ]
+        return render_table(
+            ["clock skew", "assumed E", "STP violations", "frames answered"],
+            rows,
+            title="EXT-DIST - distributed brake assistant:",
+        )
+
+
+def distributed(
+    spec: ScenarioSpec | None = None,
+    configurations: list[tuple[int, int]] | None = None,
+    sweep: SweepRunner | None = None,
+) -> DistributedResult:
+    """Deploy Computer Vision and EBA on a second, clock-skewed ECU.
+
+    Every ``(skew, E)`` configuration runs the first seed of *spec*'s
+    DEAR variant (default seed 0 x 200 frames) distributed, with the
+    processing ECU's clock skewed by ``skew`` and ``E`` as the assumed
+    clock error.
+    """
+    if configurations is None:
+        configurations = [(0, 0), (15 * MS, 0), (20 * MS, 25 * MS)]
+    spec = _brake_spec(spec, "det", seeds=1, n_frames=200)
+    overrides = [
+        dict(distributed=True, processing_clock_skew_ns=skew, clock_error_ns=error)
+        for skew, error in configurations
+    ]
+    runs = _spec_points(spec, overrides, "ext-dist", sweep)
+    return DistributedResult(
+        [(*configuration, run) for configuration, run in zip(configurations, runs)],
+        spec.effective_scenario().n_frames,
     )

@@ -215,3 +215,63 @@ class TestSpecFlag:
         ]) == 0
         assert json.loads(metrics.read_text())["format"] == "repro-metrics/v1"
         assert "brake det, seed 4" in capsys.readouterr().err
+
+
+@pytest.fixture
+def brake_spec_80(tmp_path):
+    """A saved spec of seed 0 x 80 brake frames."""
+    from repro.apps.brake import BrakeScenario
+    from repro.harness import ScenarioSpec
+
+    path = tmp_path / "brake80.json"
+    ScenarioSpec(scenario=BrakeScenario(n_frames=80)).save(path)
+    return str(path)
+
+
+class TestBrakeFigureSpecFlag:
+    """``--spec`` drives every brake figure, and only brake specs do."""
+
+    @pytest.mark.parametrize(
+        "command", ["fig5", "det", "tradeoff", "overhead", "let", "distributed"]
+    )
+    def test_library_app_spec_exits_with_a_message(self, tmp_path, command):
+        from repro.harness import ScenarioSpec
+
+        path = tmp_path / "fusion.json"
+        ScenarioSpec(app="fusion").save(path)
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--spec", str(path), "--workers", "1", "--no-cache"])
+        assert isinstance(excinfo.value.code, str)
+        assert "'fusion'" in excinfo.value.code
+        assert command in excinfo.value.code
+
+    def test_distributed_runs_the_spec_frames(self, brake_spec_80, capsys):
+        assert main([
+            "distributed", "--spec", brake_spec_80, "--workers", "1", "--no-cache",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "/80" in out
+        assert "/200" not in out
+
+    def test_let_runs_the_spec(self, tmp_path, capsys):
+        from repro.apps.brake import BrakeScenario
+        from repro.dear import StpConfig
+        from repro.harness import ScenarioSpec
+
+        def dear_mean(argv):
+            assert main(["let", *argv, "--workers", "1", "--no-cache"]) == 0
+            (line,) = [
+                row for row in capsys.readouterr().out.splitlines()
+                if row.strip().startswith("DEAR")
+            ]
+            return float(line.split()[-1])
+
+        path = tmp_path / "let.json"
+        ScenarioSpec(
+            seeds=(0, 1),
+            scenario=BrakeScenario(n_frames=40),
+            stp=StpConfig(latency_bound_ns=10_000_000, clock_error_ns=0),
+        ).save(path)
+        # Three safe-to-process releases of a doubled L: +15 ms.
+        default = dear_mean(["--frames", "40"])
+        assert dear_mean(["--spec", str(path)]) == pytest.approx(default + 15.0)

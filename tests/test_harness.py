@@ -4,10 +4,14 @@ import os
 
 import pytest
 
-from repro.harness import SweepRunner, env_int
+from repro.apps.brake import BrakeScenario
+from repro.faults import FaultPlan
+from repro.harness import ScenarioSpec, SweepRunner, env_int
 from repro.harness.figures import (
+    BrakeSpecError,
     ablation_sources,
     det_case_study,
+    distributed,
     figure1,
     figure3_sequence,
     figure5,
@@ -16,6 +20,13 @@ from repro.harness.figures import (
     tradeoff,
 )
 from repro.time import MS
+
+
+def _spec(n_frames, seeds=(0,), **fields):
+    """A brake spec of *seeds* x *n_frames* frames."""
+    return ScenarioSpec(
+        seeds=seeds, scenario=BrakeScenario(n_frames=n_frames), **fields
+    )
 
 
 def _double(seed):
@@ -68,20 +79,20 @@ class TestFigureDriversSmall:
         assert "tc + Dc + L + E" in result.render()
 
     def test_figure5(self):
-        result = figure5(n_runs=3, n_frames=150)
+        result = figure5(_spec(150, seeds=(0, 1, 2)))
         assert len(result.runs) == 3
         assert result.rates() == sorted(result.rates())
         assert "Figure 5" in result.render()
 
     def test_det_case_study(self):
-        result = det_case_study(n_seeds=2, n_frames=100)
+        result = det_case_study(_spec(100, seeds=(0, 1)))
         assert result.total_errors() == 0
         assert result.commands_identical
         assert result.oracle_perfect
         assert "deterministic brake assistant" in result.render()
 
     def test_tradeoff_monotone(self):
-        result = tradeoff(deadlines_ns=[15 * MS, 25 * MS], n_frames=80)
+        result = tradeoff(_spec(80), deadlines_ns=[15 * MS, 25 * MS])
         assert len(result.points) == 2
         unsound, sound = result.points
         assert unsound.deadline_misses > sound.deadline_misses
@@ -89,19 +100,55 @@ class TestFigureDriversSmall:
         assert "trade-off" in result.render()
 
     def test_ablation(self):
-        result = ablation_sources(n_seeds=6)
+        result = ablation_sources(seeds_per_config=6)
         by_label = dict(result.rows)
         assert set(by_label["sources off: serialized + FIFO"]) == {3}
         assert "sources of nondeterminism" in result.render()
 
     def test_overhead(self):
-        result = overhead(n_frames=100)
+        result = overhead(_spec(100))
         assert result.dear_frames_out == 100
         assert result.dear_latency.maximum < 80 * MS
         assert "Cost of determinism" in result.render()
 
     def test_let_baseline(self):
-        result = let_baseline(n_frames=80, n_seeds=2)
+        result = let_baseline(_spec(80, seeds=(0, 1)))
         assert result.deterministic
         assert result.let_latency.mean == 200 * MS
         assert "LET" in result.render()
+
+
+class TestBrakeFigureSpecs:
+    """Every brake figure runs its seeds from the spec it is given."""
+
+    SWEEP = dict(workers=1, use_cache=False)
+
+    def test_tradeoff_keeps_the_spec_fault_plan(self):
+        plan = FaultPlan.camera_faults(seed=1, drop=0.3)
+        clean = tradeoff(
+            _spec(80), deadlines_ns=[22 * MS], sweep=SweepRunner(**self.SWEEP)
+        )
+        faulty = tradeoff(
+            _spec(80, faults=plan),
+            deadlines_ns=[22 * MS],
+            sweep=SweepRunner(**self.SWEEP),
+        )
+        assert clean.points[0].frames_lost == 0
+        assert faulty.points[0].frames_lost > 0
+
+    def test_distributed_runs_the_spec_frames(self):
+        result = distributed(
+            _spec(40), configurations=[(0, 0)], sweep=SweepRunner(**self.SWEEP)
+        )
+        ((skew, error, run),) = result.runs
+        assert (skew, error) == (0, 0)
+        assert len(run.commands) == 40
+        assert "40/40" in result.render()
+
+    @pytest.mark.parametrize(
+        "driver",
+        [figure5, det_case_study, tradeoff, overhead, let_baseline, distributed],
+    )
+    def test_library_app_spec_is_rejected(self, driver):
+        with pytest.raises(BrakeSpecError, match="'fusion'"):
+            driver(ScenarioSpec(app="fusion"), sweep=SweepRunner(**self.SWEEP))
