@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     faults.add_argument(
         "--out", metavar="FILE", default=None,
-        help="write the full fault-sweep report JSON to FILE",
+        help="write the full sweep-report/v1 JSON to FILE",
     )
     faults.add_argument(
         "--counterexample-out", metavar="FILE", default="fault-counterexample.json",
@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_int(flows, "--fault-seed", 1, "fault-plan PRF seed")
     flows.add_argument(
         "--out", metavar="FILE", default=None,
-        help="write the flow-sweep-report/v1 JSON to FILE",
+        help="write the sweep-report/v1 JSON to FILE",
     )
 
     bench_diff = commands.add_parser(
@@ -621,13 +621,15 @@ def _observe(
     """Run the spec's first seed observed; write ``--trace-out``/``--metrics-out``.
 
     The CLI's one observed single run: ``repro trace`` and every
-    subcommand's trace/metrics export go through it.  *metrics=False*
-    leaves ``--metrics-out`` to the caller (``repro metrics`` writes
-    its cross-seed aggregate there).  Returns ``(observation, result)``.
+    subcommand's trace/metrics export go through it, and it runs nothing
+    unless one was asked for.  *metrics=False* leaves ``--metrics-out``
+    to the caller (``repro metrics`` writes its sweep report there).
     """
     from repro import obs
     from repro.harness.config import observe_spec
 
+    if not (args.trace_out or (metrics and args.metrics_out)):
+        return None
     seed = spec.seeds[0]
     observation, result = observe_spec(seed, spec, flows=flows)
     what = f"{spec.app} {spec.variant}, seed {seed}"
@@ -865,9 +867,9 @@ def _run_explore_inner(args, sweep, strategy, engine) -> int:
 def _faults_plan(args: argparse.Namespace, app: str):
     """The :class:`FaultPlan` from ``--plan`` or the quick flags.
 
-    Returns ``None`` when *app* is a library app and no quick fault
-    flag was set — the spec then falls through to the app's own default
-    plan (e.g. the failover scenario's primary-node outage).
+    ``None`` leaves the spec's own plan to run: a ``--spec`` file's
+    unless ``--plan`` or a quick flag is given, a library app's default
+    (e.g. the failover primary-node outage) unless a quick flag is set.
     """
     from repro.faults import FaultPlan, Partition
     from repro.time import MS
@@ -886,13 +888,13 @@ def _faults_plan(args: argparse.Namespace, app: str):
         partitions.append(
             Partition(start_ns=int(start_ms * MS), end_ns=int(end_ms * MS))
         )
+    others = (args.duplicate, args.reorder, args.corrupt, args.spike)
+    if args.spec and args.drop is None and not partitions and not any(others):
+        return None
     drop = args.drop if args.drop is not None else (
         0.05 if app == "brake" else 0.0
     )
-    quick = any(
-        p > 0.0
-        for p in (drop, args.duplicate, args.reorder, args.corrupt, args.spike)
-    ) or bool(partitions)
+    quick = any(p > 0.0 for p in (drop, *others)) or bool(partitions)
     if app != "brake" and not quick:
         return None
     return FaultPlan.camera_faults(
@@ -908,15 +910,15 @@ def _faults_plan(args: argparse.Namespace, app: str):
     )
 
 
-def _faults_snapshot_triage(spec, det_runs, plan):
-    """Minimize seed 0's fired faults to the decisive subset.
+def _faults_snapshot_triage(spec, report):
+    """Minimize the first det seed's fired faults to the decisive subset.
 
     ddmin over the fired-fault trace, with every probe forked from the
     deepest copy-on-write snapshot whose membership prefix matches —
     answering "which of the faults that fired actually changed the
-    outcome?" without paying a full re-run per probe.  Returns a JSON
-    block for the fault-sweep report, or ``None`` when there is nothing
-    to triage (no faults fired, outcome unchanged, or no ``os.fork``).
+    outcome?" without paying a full re-run per probe.  Returns the
+    report's ``snapshots`` block, or ``None`` when there is nothing to
+    triage (no faults fired, outcome unchanged, or no ``os.fork``).
     """
     from dataclasses import replace
 
@@ -925,22 +927,16 @@ def _faults_snapshot_triage(spec, det_runs, plan):
     from repro.harness.config import run_scenario_spec
     from repro.snapshot import SNAPSHOTS_SUPPORTED, SnapshotEngine
 
-    if not SNAPSHOTS_SUPPORTED or not det_runs:
-        return None
-    run0 = det_runs[0]
-    trace_dict = (run0.fault_summary or {}).get("trace")
-    if not trace_dict or not trace_dict.get("records"):
+    det = report["variants"]["det"]
+    seed = det["seeds"][0]
+    trace_dict = (det["fault_summaries"][str(seed)] or {}).get("trace")
+    if not SNAPSHOTS_SUPPORTED or not trace_dict or not trace_dict["records"]:
         return None
     trace = DecisionTrace.from_dict(trace_dict)
-    seed = run0.seed
-
-    def signature(result):
-        return tuple(sorted(result.trace_fingerprints.items()))
-
-    clean = signature(
-        run_scenario_spec(seed, spec, fault_replay=replace(trace, records=[]))
-    )
-    if clean == signature(run0):
+    clean = run_scenario_spec(
+        seed, spec, fault_replay=replace(trace, records=[])
+    ).trace_fingerprints
+    if clean == det["fingerprints"][str(seed)]:
         return None  # the fired faults left no observable mark
 
     def failure(candidate, checkpointer=None):
@@ -951,11 +947,13 @@ def _faults_snapshot_triage(spec, det_runs, plan):
             fault_universe=trace if checkpointer is not None else None,
             fault_checkpointer=checkpointer,
         )
-        return signature(result) != clean
+        return result.trace_fingerprints != clean
 
     engine = SnapshotEngine()
     try:
-        shrunk = shrink_fault_trace(plan, trace, failure, snapshots=engine)
+        shrunk = shrink_fault_trace(
+            spec.effective_faults(), trace, failure, snapshots=engine
+        )
     except ValueError:
         return None  # full-trace replay did not reproduce; don't guess
     finally:
@@ -972,20 +970,30 @@ def _faults_snapshot_triage(spec, det_runs, plan):
     }
 
 
+def _write_report(report: dict, path: str) -> None:
+    """Write a ``sweep-report/v1`` document to *path*."""
+    import json
+
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(report, handle, indent=2, sort_keys=True)
+    print(f"sweep report -> {path}")
+
+
 def _run_faults(args: argparse.Namespace, sweep) -> int:
     """``repro faults``: seeded fault sweep + DEAR determinism check.
 
-    Runs both variants under the same fault plan with the deterministic
-    camera.  In-bound faults must leave DEAR's logical traces identical
-    across world seeds; divergence is acceptable only when flagged by
-    the runtime (STP violations / deadline faults).  Silent divergence
-    writes a counterexample artifact and exits nonzero.
+    A preset over :func:`~repro.harness.report.sweep_report`: both
+    variants under the same fault plan with seed-fixed inputs.
+    In-bound faults must leave DEAR's logical traces identical across
+    world seeds; divergence is acceptable only when flagged by the
+    runtime (STP violations / deadline faults).  Silent divergence
+    writes the report as a counterexample and exits nonzero.
     """
-    import json
     from dataclasses import replace
 
     from repro.analysis.report import render_table
     from repro.faults import FaultPlan
+    from repro.harness.report import sweep_report
 
     spec = _cli_spec(args, brake_frames=150)
     app = spec.app
@@ -1008,26 +1016,20 @@ def _run_faults(args: argparse.Namespace, sweep) -> int:
         spec = replace(spec, faults=plan)
     # Library apps may carry their fault plan in the scenario itself
     # (e.g. failover's primary outage); report whatever actually runs.
-    plan = spec.effective_faults() or FaultPlan(label="none")
-    print(plan.describe())
-    det_runs = sweep.run_spec(spec).values()
-    nondet_label = (
-        "faults-nondet" if app == "brake" else f"faults-{app}-nondet"
-    )
-    nondet_spec = replace(spec, variant="nondet", label=nondet_label)
-    nondet_runs = sweep.run_spec(nondet_spec).values()
+    print((spec.effective_faults() or FaultPlan(label="none")).describe())
+    report = sweep_report(spec, ("det", "nondet"), sweep)
+    det, stock = report["variants"]["det"], report["variants"]["nondet"]
 
     rows = []
-    for run in det_runs:
-        summary = run.fault_summary or {}
+    for seed in map(str, det["seeds"]):
+        summary = det["fault_summaries"][seed] or {}
         counters = summary.get("counters", {})
         rows.append([
-            str(run.seed),
+            seed,
             str(summary.get("fired", 0)),
             str(counters.get("drop", 0) + counters.get("partition", 0)),
-            str(run.errors.total()),
-            str(run.stp_violations),
-            str(run.deadline_misses),
+            str(sum(det["errors"][seed].values())),
+            *map(str, det["violations"][seed].values()),
         ])
     print(render_table(
         ["seed", "faults fired", "drops", "errors", "STP violations",
@@ -1035,63 +1037,27 @@ def _run_faults(args: argparse.Namespace, sweep) -> int:
         rows,
         title="FAULTS - DEAR under the fault plan:",
     ))
-
-    fingerprints = {
-        tuple(sorted(run.trace_fingerprints.items())) for run in det_runs
-    }
-    det_deterministic = len(fingerprints) == 1
-    flagged = sum(
-        run.stp_violations + run.deadline_misses for run in det_runs
-    )
-    stock_outcomes = {
-        tuple(sorted(run.commands.items())) for run in nondet_runs
-    }
     print(
-        f"DEAR logical traces identical across {len(det_runs)} seeds: "
-        f"{det_deterministic} (flagged violations: {flagged})"
+        f"DEAR logical traces identical across {len(det['seeds'])} seeds: "
+        f"{det['deterministic']} "
+        f"(flagged violations: {det['flagged_violations']})"
     )
     print(
-        f"stock outcomes across {len(nondet_runs)} seeds: "
-        f"{len(stock_outcomes)} distinct"
+        f"stock outcomes across {len(stock['seeds'])} seeds: "
+        f"{stock['distinct_outcomes']} distinct"
     )
 
-    snapshots_block = (
-        _faults_snapshot_triage(spec, det_runs, plan) if args.snapshot else None
+    report["snapshots"] = (
+        _faults_snapshot_triage(spec, report) if args.snapshot else None
     )
-
-    silent_divergence = not det_deterministic and flagged == 0
-    report = {
-        "format": "fault-sweep-report/v1",
-        "plan": plan.to_dict(),
-        "spec": spec.to_dict(),
-        "det": {
-            "deterministic": det_deterministic,
-            "distinct_fingerprints": len(fingerprints),
-            "flagged_violations": flagged,
-            "fingerprints": {
-                str(run.seed): dict(run.trace_fingerprints)
-                for run in det_runs
-            },
-            "fault_summaries": {
-                str(run.seed): run.fault_summary for run in det_runs
-            },
-        },
-        "stock": {
-            "distinct_outcomes": len(stock_outcomes),
-            "errors": {
-                str(run.seed): run.errors.as_dict() for run in nondet_runs
-            },
-        },
-        "silent_divergence": silent_divergence,
-        "snapshots": snapshots_block,
-    }
+    report["silent_divergence"] = (
+        not det["deterministic"] and det["flagged_violations"] == 0
+    )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-        print(f"fault-sweep report -> {args.out}")
-    if silent_divergence:
-        with open(args.counterexample_out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
+        _write_report(report, args.out)
+    _observe(args, _with_frames(spec, min(spec.scenario.n_frames, 500)))
+    if report["silent_divergence"]:
+        _write_report(report, args.counterexample_out)
         print(
             "FAULTS: silent DEAR divergence under in-bound faults; "
             f"counterexample -> {args.counterexample_out}",
@@ -1104,16 +1070,13 @@ def _run_faults(args: argparse.Namespace, sweep) -> int:
 def _run_flows(args: argparse.Namespace, sweep) -> int:
     """``repro flows``: causal flow sweep with a stock-vs-DEAR diff.
 
-    Sweeps the spec with flow capture for each requested variant,
-    merges the per-seed ``flow-report/v1`` documents, prints drop
-    attribution and the critical path, and (with both variants) a
-    stock-vs-DEAR delivery/drop diff.
+    A preset over :func:`~repro.harness.report.sweep_report` with flows:
+    each variant's drop attribution and critical path, then the diff.
     """
-    import json
     from dataclasses import replace
 
-    from repro import obs
     from repro.analysis.report import render_table
+    from repro.harness.report import sweep_report
 
     spec = _cli_spec(args, brake_frames=120)
     app = spec.app
@@ -1131,23 +1094,13 @@ def _run_flows(args: argparse.Namespace, sweep) -> int:
                 seed=args.fault_seed, drop=args.drop, label="cli-flows"
             ),
         )
-    known = spec.definition().variants()
     variants = (
         ("det", "nondet") if args.variant == "both" else (args.variant,)
     )
+    report = sweep_report(spec, variants, sweep, flows=True)
     for variant in variants:
-        if variant not in known:
-            raise SystemExit(
-                f"flows: app {app!r} has no variant {variant!r}; "
-                f"known: {list(known)}"
-            )
-    merged: dict[str, dict] = {}
-    for variant in variants:
-        runs = sweep.run_spec(replace(spec, variant=variant), flows=True).values()
-        merged[variant] = obs.merge_flow_reports(
-            [run.fault_summary["flows"] for run in runs]
-        )
-        summary = merged[variant]["summary"]
+        merged = report["variants"][variant]["flows"]
+        summary = merged["summary"]
         tag = variant if app == "brake" else f"{app} {variant}"
         drop_rows = [
             [cause, str(count)]
@@ -1162,7 +1115,7 @@ def _run_flows(args: argparse.Namespace, sweep) -> int:
                 f"{summary['e2e_p50_ns']} ns, p95 {summary['e2e_p95_ns']} ns"
             ),
         ))
-        path = merged[variant]["critical_path"]
+        path = merged["critical_path"]
         seg_rows = [
             [name, str(stats["count"]), f"{stats['mean_ns']:.0f}",
              str(stats["max_ns"]), str(path["dominant"].get(name, 0))]
@@ -1174,50 +1127,20 @@ def _run_flows(args: argparse.Namespace, sweep) -> int:
             title=f"FLOWS - {tag} critical path:",
         ))
 
-    diff = None
-    if len(variants) == 2:
-        det_s = merged["det"]["summary"]
-        stock_s = merged["nondet"]["summary"]
-        diff = {
-            "det_delivered": det_s["delivered"],
-            "stock_delivered": stock_s["delivered"],
-            "det_dropped": det_s["dropped"],
-            "stock_dropped": stock_s["dropped"],
-            "det_drops_by_cause": det_s["drops_by_cause"],
-            "stock_drops_by_cause": stock_s["drops_by_cause"],
-            "stock_only_causes": sorted(
-                set(stock_s["drops_by_cause"]) - set(det_s["drops_by_cause"])
-            ),
-            "det_e2e_p95_ns": det_s["e2e_p95_ns"],
-            "stock_e2e_p95_ns": stock_s["e2e_p95_ns"],
-        }
+    if "diff" in report:
+        det_s = report["variants"]["det"]["flows"]["summary"]
+        stock_s = report["variants"]["nondet"]["flows"]["summary"]
         print(
             f"FLOWS diff: DEAR delivered {det_s['delivered']}/{det_s['total']}"
             f" vs stock {stock_s['delivered']}/{stock_s['total']}; "
-            f"stock-only drop causes: {diff['stock_only_causes'] or 'none'}"
+            f"stock-only drop causes: "
+            f"{report['diff']['stock_only_causes'] or 'none'}"
         )
 
     if args.out:
-        document = {
-            "format": "flow-sweep-report/v1",
-            "app": app,
-            "frames": spec.scenario.n_frames,
-            "seeds": len(spec.seeds),
-            **{variant: merged[variant] for variant in variants},
-        }
-        if diff is not None:
-            document["diff"] = diff
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-        print(f"flow-sweep report -> {args.out}")
-
-    if args.trace_out or args.metrics_out:
-        representative = replace(spec, variant=variants[0])
-        _observe(
-            args,
-            _with_frames(representative, min(spec.scenario.n_frames, 200)),
-            flows=True,
-        )
+        _write_report(report, args.out)
+    representative = _with_frames(spec, min(spec.scenario.n_frames, 200))
+    _observe(args, replace(representative, variant=variants[0]), flows=True)
     return 0
 
 
@@ -1508,16 +1431,17 @@ def _run_trace(args: argparse.Namespace) -> int:
 
 
 def _run_metrics(args: argparse.Namespace, sweep) -> int:
-    """``repro metrics det|nondet``: cross-seed metric aggregates."""
-    import json
-    from dataclasses import replace
+    """``repro metrics det|nondet``: cross-seed metric aggregates.
 
+    A preset over :func:`~repro.harness.report.sweep_report` with
+    metrics, for the one variant; ``--metrics-out`` gets the report.
+    """
     from repro.analysis.report import render_table
-    from repro.obs.metrics import aggregate_snapshots
+    from repro.harness.report import sweep_report
 
     spec = _cli_spec(args, args.experiment, brake_frames=200)
-    runs = sweep.run_spec(replace(spec, observe=True)).values()
-    aggregate = aggregate_snapshots([run.fault_summary["metrics"] for run in runs])
+    report = sweep_report(spec, (spec.variant,), sweep, metrics=True)
+    aggregate = report["variants"][spec.variant]["metrics"]
 
     tag = spec.variant if spec.app == "brake" else f"{spec.app} {spec.variant}"
     rows = [
@@ -1544,19 +1468,8 @@ def _run_metrics(args: argparse.Namespace, sweep) -> int:
         title="OBS - merged histograms (ns):",
     ))
     if args.metrics_out:
-        document = {
-            "format": "repro-metrics-aggregate/v1",
-            "app": spec.app,
-            "experiment": spec.variant,
-            "frames": spec.scenario.n_frames,
-            "seeds": len(spec.seeds),
-            "aggregate": aggregate,
-        }
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-        print(f"metrics aggregate -> {args.metrics_out}")
-    if args.trace_out:
-        _observe(args, spec, metrics=False)
+        _write_report(report, args.metrics_out)
+    _observe(args, spec, metrics=False)
     return 0
 
 
@@ -1606,23 +1519,6 @@ def _run_library(args: argparse.Namespace) -> int:
     return 0
 
 
-def _export_observability(args: argparse.Namespace) -> None:
-    """Honour ``--trace-out``/``--metrics-out`` on regular subcommands.
-
-    Runs the first seed of the subcommand's spec observed (nondet for
-    the stock-AP figures, det otherwise; at most 500 frames when the
-    subcommand has ``--frames``) and writes the requested artifacts,
-    without touching the experiment results themselves.
-    """
-    if not (getattr(args, "trace_out", None) or getattr(args, "metrics_out", None)):
-        return
-    variant = "nondet" if args.command in ("fig1", "fig5") else "det"
-    spec = _cli_spec(args, variant, brake_frames=200)
-    if getattr(args, "frames", None) is not None:
-        spec = _with_frames(spec, min(spec.scenario.n_frames, 500))
-    _observe(args, spec)
-
-
 _ALL = (
     "fig1", "fig3", "fig5", "det", "tradeoff", "ablation",
     "overhead", "let", "skew", "scaling", "native", "distributed",
@@ -1640,49 +1536,8 @@ _QUICK_SIZES = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "bench-diff":
-        # No sweep options: dispatched before _make_sweep reads them.
-        return _run_bench_diff(args)
-    if args.command == "serve":
-        return _run_serve(args)
-    if args.command == "submit":
-        return _run_submit(args)
-    if args.command == "worker":
-        return _run_worker(args)
-    if args.command == "status":
-        return _run_status(args)
-    if args.command == "report":
-        return _run_report(args)
-    if args.command == "library":
-        return _run_library(args)
-    sweep = _make_sweep(args)
-    if args.command == "trace":
-        return _run_trace(args)
-    if args.command == "metrics":
-        code = _run_metrics(args, sweep)
-        if sweep.stats.sweeps:
-            print(sweep.stats.summary_line(), file=sys.stderr)
-        return code
-    if args.command == "flows":
-        code = _run_flows(args, sweep)
-        if sweep.stats.sweeps:
-            print(sweep.stats.summary_line(), file=sys.stderr)
-        return code
-    if args.command == "faults":
-        code = _run_faults(args, sweep)
-        _export_observability(args)
-        if sweep.stats.sweeps:
-            print(sweep.stats.summary_line(), file=sys.stderr)
-        return code
-    if args.command == "explore":
-        code = _run_explore(args, sweep)
-        _export_observability(args)
-        if sweep.stats.sweeps:
-            print(sweep.stats.summary_line(), file=sys.stderr)
-        return code
+def _run_figures(args: argparse.Namespace, sweep) -> int:
+    """One paper figure, or ``repro all`` of them, printed to stdout."""
     if args.command != "all":
         from repro.harness.figures import BrakeSpecError
 
@@ -1690,23 +1545,55 @@ def main(argv: list[str] | None = None) -> int:
             print(_run_one(args.command, args, sweep))
         except BrakeSpecError as error:
             raise SystemExit(f"repro {args.command}: {error}") from None
-        _export_observability(args)
-        if sweep.stats.sweeps:
-            print(sweep.stats.summary_line(), file=sys.stderr)
-        return 0
-    for name in _ALL:
-        sub_args = build_parser().parse_args([name])
-        if args.quick:
-            for key, value in _QUICK_SIZES.get(name, {}).items():
-                setattr(sub_args, key, value)
-        started = time.time()
-        print(f"==== {name} " + "=" * (60 - len(name)))
-        print(_run_one(name, sub_args, sweep))
-        print(f"---- {name} done in {time.time() - started:.1f}s\n")
-    _export_observability(args)
+    else:
+        for name in _ALL:
+            sub_args = build_parser().parse_args([name])
+            if args.quick:
+                for key, value in _QUICK_SIZES.get(name, {}).items():
+                    setattr(sub_args, key, value)
+            started = time.time()
+            print(f"==== {name} " + "=" * (60 - len(name)))
+            print(_run_one(name, sub_args, sweep))
+            print(f"---- {name} done in {time.time() - started:.1f}s\n")
+    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    standalone = {
+        "bench-diff": _run_bench_diff,
+        "serve": _run_serve,
+        "submit": _run_submit,
+        "worker": _run_worker,
+        "status": _run_status,
+        "report": _run_report,
+        "library": _run_library,
+        "trace": _run_trace,
+    }
+    if args.command in standalone:
+        # No sweep: dispatched before _make_sweep reads the sweep options.
+        return standalone[args.command](args)
+    sweep = _make_sweep(args)
+    runner = {
+        "metrics": _run_metrics,
+        "flows": _run_flows,
+        "faults": _run_faults,
+        "explore": _run_explore,
+    }.get(args.command, _run_figures)
+    code = runner(args, sweep)
+    if runner in (_run_explore, _run_figures):
+        # The presets export their own spec.  These export the first
+        # seed of the subcommand's spec (nondet for the stock-AP
+        # figures), at most 500 frames when sized by ``--frames``.
+        variant = "nondet" if args.command in ("fig1", "fig5") else "det"
+        spec = _cli_spec(args, variant, brake_frames=200)
+        if getattr(args, "frames", None) is not None:
+            spec = _with_frames(spec, min(spec.scenario.n_frames, 500))
+        _observe(args, spec)
     if sweep.stats.sweeps:
         print(sweep.stats.summary_line(), file=sys.stderr)
-    return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -9,11 +9,13 @@ the text form of the corresponding figure.  The benchmark suite under
 :mod:`repro.harness.sweep` provides :class:`SweepRunner`, the parallel
 seeded-sweep engine (process-pool fan-out, deterministic seed-order
 merge, on-disk result cache) that the drivers, the CLI and the
-benchmarks all share.
+benchmarks all share; :func:`repro.harness.report.sweep_report` folds
+a spec's seeds into one cross-seed ``sweep-report/v1`` document.
 """
 
 from repro.harness.benchdiff import compare_dirs, render_bench_diff
 from repro.harness.config import NetworkSpec, ScenarioSpec, run_scenario_spec
+from repro.harness.report import sweep_report
 from repro.harness.runner import env_int
 from repro.harness.sweep import (
     SeedOutcome,
@@ -31,6 +33,7 @@ __all__ = [
     "NetworkSpec",
     "ScenarioSpec",
     "run_scenario_spec",
+    "sweep_report",
     "env_int",
     "figures",
     "SweepRunner",

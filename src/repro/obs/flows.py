@@ -418,7 +418,8 @@ def merge_flow_reports(reports: list[dict]) -> dict:
     Counts and drop breakdowns sum; end-to-end quantiles are recomputed
     from the per-flow records, and critical-path segment stats merge by
     count/mean/max (per-seed p95 is not mergeable and is recomputed
-    from the per-flow dominant counts only).
+    from the per-flow dominant counts only).  The result is a variant's
+    ``flows`` block in :func:`repro.harness.report.sweep_report`.
     """
     totals = {"total": 0, "delivered": 0, "dropped": 0, "unattributed": 0}
     drops_by_layer: dict[str, int] = {}
@@ -455,7 +456,6 @@ def merge_flow_reports(reports: list[dict]) -> dict:
         for name in sorted(seg_count)
     }
     return {
-        "format": "flow-report-aggregate/v1",
         "runs": len(reports),
         "summary": {
             **totals,
@@ -483,19 +483,19 @@ _SUMMARY_KEYS = (
 
 
 def validate_flow_report(data: Any) -> list[str]:
-    """Shape-check a ``flow-report/v1`` or aggregate document.
+    """Shape-check a ``flow-report/v1`` or a :func:`merge_flow_reports` block.
 
-    Returns a list of problems (empty = valid).  Checks the count
-    invariants the CI flows-smoke job relies on: delivered + dropped
-    equals total, every undelivered flow carries exactly one
-    ``(layer, cause, ts)`` attribution, and the drop breakdowns sum to
-    the dropped count.
+    A merged block has ``runs`` and no ``format``.  Returns a list of
+    problems (empty = valid).  Checks the count invariants the CI
+    flows-smoke job relies on: delivered + dropped equals total, every
+    undelivered flow carries exactly one ``(layer, cause, ts)``
+    attribution, and the drop breakdowns sum to the dropped count.
     """
     problems: list[str] = []
     if not isinstance(data, dict):
         return ["flow report is not a dict"]
     fmt = data.get("format")
-    if fmt not in ("flow-report/v1", "flow-report-aggregate/v1"):
+    if fmt != "flow-report/v1" and not (fmt is None and "runs" in data):
         problems.append(f"unknown format {fmt!r}")
     summary = data.get("summary")
     if not isinstance(summary, dict):

@@ -196,9 +196,10 @@ class TestSpecFlag:
             "--no-cache", "--metrics-out", str(out),
         ]) == 0
         document = json.loads(out.read_text())
-        assert document["seeds"] == 2
-        assert document["aggregate"]["seeds"] == 2
-        assert document["frames"] == 12
+        block = document["variants"]["det"]
+        assert block["seeds"] == [4, 5]
+        assert block["metrics"]["seeds"] == 2
+        assert document["spec"]["scenario"]["n_frames"] == 12
 
     def test_trace_runs_the_first_spec_seed(self, tmp_path, spec_4_5, capsys):
         assert main([
@@ -275,3 +276,77 @@ class TestBrakeFigureSpecFlag:
         # Three safe-to-process releases of a doubled L: +15 ms.
         default = dear_mean(["--frames", "40"])
         assert dear_mean(["--spec", str(path)]) == pytest.approx(default + 15.0)
+
+
+def _faults(tmp_path, *argv):
+    """Run ``repro faults`` with *argv*; return (exit code, report)."""
+    out = tmp_path / "faults.json"
+    code = main([
+        "faults", *argv, "--workers", "1", "--no-cache", "--out", str(out),
+        "--counterexample-out", str(tmp_path / "counterexample.json"),
+    ])
+    return code, json.loads(out.read_text())
+
+
+class TestFaults:
+    """``repro faults``: the DEAR determinism check under a fault plan."""
+
+    def test_in_bound_drops_keep_dear_deterministic(self, tmp_path):
+        from repro.snapshot import SNAPSHOTS_SUPPORTED
+
+        code, report = _faults(
+            tmp_path, "--drop", "0.05", "--seeds", "3", "--frames", "80"
+        )
+        assert code == 0
+        assert report["format"] == "sweep-report/v1"
+        det = report["variants"]["det"]
+        assert det["distinct_fingerprints"] == 1
+        assert not report["silent_divergence"]
+        summaries = det["fault_summaries"].values()
+        assert all(summary["fired"] > 0 for summary in summaries)
+        # PRF schedules are world-seed independent: one fingerprint.
+        assert len({s["trace_fingerprint"] for s in summaries}) == 1
+        if SNAPSHOTS_SUPPORTED:
+            assert report["snapshots"]["stats"]["fork_hits"] > 0
+
+    def test_partition_beyond_l_is_flagged(self, tmp_path):
+        code, report = _faults(
+            tmp_path, "--partition", "900:1100", "--seeds", "3", "--frames", "120"
+        )
+        assert code == 0
+        assert not report["silent_divergence"]
+        assert report["variants"]["det"]["flagged_violations"] > 0
+
+    def test_spec_keeps_its_fault_plan(self, tmp_path):
+        from repro.apps.brake import BrakeScenario
+        from repro.faults import FaultPlan
+        from repro.harness import ScenarioSpec
+
+        path = tmp_path / "spec.json"
+        ScenarioSpec(
+            seeds=(0, 1, 2),
+            scenario=BrakeScenario(n_frames=80, deterministic_camera=True),
+            faults=FaultPlan.camera_faults(seed=1, drop=0.3, label="spec-plan"),
+        ).save(path)
+        code, report = _faults(tmp_path, "--spec", str(path), "--no-snapshot")
+        assert code == 0
+        assert report["faults"]["label"] == "spec-plan"
+        fired = [
+            summary["fired"]
+            for summary in report["variants"]["det"]["fault_summaries"].values()
+        ]
+        assert len(fired) == 3
+        assert all(count > 5 for count in fired)
+
+    def test_exports_observe_the_faulted_spec(self, tmp_path):
+        trace = tmp_path / "trace.json"
+        metrics = tmp_path / "metrics.json"
+        code, _ = _faults(
+            tmp_path, "--drop", "0.3", "--seeds", "2", "--frames", "80",
+            "--no-snapshot", "--trace-out", str(trace),
+            "--metrics-out", str(metrics),
+        )
+        assert code == 0
+        assert "faults" in json.loads(trace.read_text())["otherData"]["tracks"]
+        counters = json.loads(metrics.read_text())["metrics"]["counters"]
+        assert counters["faults.drop"] > 0

@@ -206,7 +206,7 @@ class TestFlowReport:
 
     def test_merge(self):
         merged = merge_flow_reports([_report(2, 1), _report(1, 2)])
-        assert merged["format"] == "flow-report-aggregate/v1"
+        assert "format" not in merged
         assert merged["runs"] == 2
         summary = merged["summary"]
         assert summary["total"] == 6
@@ -216,6 +216,8 @@ class TestFlowReport:
         assert validate_flow_report(merged) == []
         segments = merged["critical_path"]["segments"]
         assert segments["sensor->switch"]["count"] == 3
+        del merged["runs"]  # an untagged block must be a merged one
+        assert validate_flow_report(merged) == ["unknown format None"]
 
     def test_validator_catches_violations(self):
         report = _report()
@@ -390,10 +392,11 @@ class TestCli:
         ])
         assert code == 0
         document = json.loads(out_path.read_text())
-        assert document["format"] == "flow-sweep-report/v1"
+        assert document["format"] == "sweep-report/v1"
+        blocks = document["variants"]
         for variant in ("det", "nondet"):
-            assert validate_flow_report(document[variant]) == []
-        assert document["det"]["summary"]["unattributed"] == 0
+            assert validate_flow_report(blocks[variant]["flows"]) == []
+        assert blocks["det"]["flows"]["summary"]["unattributed"] == 0
         diff = document["diff"]
         assert diff["det_delivered"] >= diff["stock_delivered"]
         trace = json.loads(trace_path.read_text())
@@ -414,7 +417,8 @@ class TestCli:
         assert code == 0
         document = json.loads(out_path.read_text())
         assert "diff" not in document
-        summary = document["det"]["summary"]
+        assert list(document["variants"]) == ["det"]
+        summary = document["variants"]["det"]["flows"]["summary"]
         assert summary["dropped"] > 0
         assert summary["unattributed"] == 0
         assert "fault" in " ".join(summary["drops_by_cause"])

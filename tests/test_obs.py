@@ -473,9 +473,10 @@ class TestCli:
         ])
         assert code == 0
         document = json.loads(out_path.read_text())
-        assert document["format"] == "repro-metrics-aggregate/v1"
-        assert document["aggregate"]["seeds"] == 3
-        assert document["aggregate"]["histograms"]
+        assert document["format"] == "sweep-report/v1"
+        aggregate = document["variants"]["det"]["metrics"]
+        assert aggregate["seeds"] == 3
+        assert aggregate["histograms"]
         out = capsys.readouterr().out
         assert "OBS" in out
 
