@@ -13,16 +13,16 @@ second client (source 2) makes it nondeterministic again even though
 source 1 stays fixed.
 """
 
-from repro.harness import SweepRunner, env_int
+from repro.harness import ScenarioSpec, SweepRunner, env_int
 from repro.harness.figures import ablation_sources
 
 
 def test_ablation_sources(benchmark, show, bench_json):
     n_seeds = env_int("REPRO_ABLATION_SEEDS", 25)
+    spec = ScenarioSpec(app="counter", variant="nondet", seeds=range(n_seeds))
     runner = SweepRunner()
     result = benchmark.pedantic(
-        ablation_sources, args=(n_seeds,), kwargs={"sweep": runner},
-        rounds=1, iterations=1,
+        ablation_sources, args=(spec, runner), rounds=1, iterations=1,
     )
     show(result.render())
     show(runner.stats.summary_line())

@@ -8,19 +8,20 @@ Expected shape (asserted): multiple distinct outcomes on stock AP, no
 outcome with probability 1, wrong results present; the DEAR variant
 prints 3 every time.
 
-Scale knobs: ``REPRO_FIG1_SEEDS`` (default 200).
+Scale knobs: ``REPRO_FIG1_SEEDS`` (default 200; the DEAR contrast runs
+the first 8 of them).
 """
 
-from repro.harness import SweepRunner, env_int
+from repro.harness import ScenarioSpec, SweepRunner, env_int
 from repro.harness.figures import figure1
 
 
 def test_figure1(benchmark, show, bench_json):
     n_seeds = env_int("REPRO_FIG1_SEEDS", 200)
+    spec = ScenarioSpec(app="counter", variant="nondet", seeds=range(n_seeds))
     runner = SweepRunner()
     result = benchmark.pedantic(
-        figure1, args=(n_seeds,), kwargs={"det_seeds": 8, "sweep": runner},
-        rounds=1, iterations=1,
+        figure1, args=(spec, runner), rounds=1, iterations=1,
     )
     show(result.render())
     show(runner.stats.summary_line())

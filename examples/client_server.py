@@ -12,7 +12,13 @@ import sys
 from collections import Counter
 
 from repro.analysis.report import histogram_table
-from repro.apps.counter import run_det, run_nondet
+from repro.apps.counter import printed_values, run_det, run_nondet
+
+
+def printed(run):
+    """The value a one-round counter run printed."""
+    (value,) = printed_values(run)
+    return value
 
 
 def main():
@@ -20,13 +26,13 @@ def main():
 
     print(f"Running the stock-AP client {n_runs} times "
           f"(each run = one seed = one possible schedule)...")
-    stock = Counter(run_nondet(seed).printed_value for seed in range(n_runs))
+    stock = Counter(printed(run_nondet(seed)) for seed in range(n_runs))
     print()
     print(histogram_table(stock, "Printed value on stock AUTOSAR AP:"))
 
     print()
     print("Running the DEAR client 8 times...")
-    dear = Counter(run_det(seed).printed_value for seed in range(8))
+    dear = Counter(printed(run_det(seed)) for seed in range(8))
     print()
     print(histogram_table(dear, "Printed value under DEAR:"))
 

@@ -1,13 +1,14 @@
 """The paper's applications and the pluggable app registry.
 
-* :mod:`repro.apps.counter` — the Figure 1 client/server example: a
-  naive client issues ``set_value(1); add(2); get_value()`` without
-  awaiting the futures; the stock AP runtime prints 0, 1, 2 or 3
-  depending on thread scheduling, while the DEAR variant always
-  prints 3.
+* :mod:`repro.apps.counter` — the Figure 1 client/server example
+  (app ``counter``): a naive client issues ``set_value(1); add(2);
+  get_value()`` without awaiting the futures; the stock AP runtime
+  prints 0, 1, 2 or 3 depending on thread scheduling, while the DEAR
+  variant always prints 3.
 * :mod:`repro.apps.brake` — the brake assistant case study of
   Section IV, in the stock (nondeterministic) and DEAR (deterministic)
   variants.
+* :mod:`repro.apps.world` — the one builder of networked worlds.
 * :mod:`repro.apps.lib` — the multi-ECU scenario library (sensor
   fusion, SOME/IP SD failover, mixed criticality), each on a
   non-trivial :class:`~repro.network.topology.TopologySpec`.
@@ -41,6 +42,29 @@ def _register_brake() -> None:
     )
 
 
+def _register_counter() -> None:
+    from repro.apps.counter import CounterScenario
+
+    register(
+        AppDefinition(
+            name="counter",
+            title="Counter client/server (Figure 1, Section II.B)",
+            description=(
+                "A client fires set_value(1); add(2); get_value() without "
+                "waiting; the stock server prints 0-3, DEAR always 3."
+            ),
+            runners={
+                "det": "repro.apps.counter:run_det",
+                "nondet": "repro.apps.counter:run_nondet",
+            },
+            scenario_type=CounterScenario,
+            library=False,
+            input_threads=(),
+        )
+    )
+
+
 _register_brake()
+_register_counter()
 
 __all__ = ["AppDefinition", "register", "get", "names", "apps"]

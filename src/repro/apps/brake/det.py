@@ -48,28 +48,12 @@ from repro.apps.brake.nondet import (
     start_camera,
 )
 from repro.apps.brake.scenario import BrakeScenario
-from repro.dear import (
-    ClientEventTransactor,
-    LatePolicy,
-    ServerEventTransactor,
-    StpConfig,
-    TransactorConfig,
-)
+from repro.apps.world import transactor_config
+from repro.dear import ClientEventTransactor, ServerEventTransactor
 from repro.network import NetworkInterface
 from repro.obs import context as obs_context
 from repro.reactors import Environment, Reactor
 from repro.time.duration import SEC
-
-
-def _transactor_config(scenario: BrakeScenario, deadline_ns: int) -> TransactorConfig:
-    return TransactorConfig(
-        deadline_ns=deadline_ns,
-        stp=StpConfig(
-            latency_bound_ns=scenario.latency_bound_ns,
-            clock_error_ns=scenario.clock_error_ns,
-        ),
-        late_policy=LatePolicy(scenario.late_policy),
-    )
 
 
 class _AdapterLogic(Reactor):
@@ -218,7 +202,7 @@ def run_det_brake_assistant(
     adapter_skeleton = adapter_process.create_skeleton(ADAPTER_SERVICE, 1)
     adapter_tx = ServerEventTransactor(
         "frame_tx", adapter_env, adapter_process, adapter_skeleton, "frame",
-        _transactor_config(scenario, scenario.adapter_deadline_ns),
+        transactor_config(scenario, scenario.adapter_deadline_ns),
     )
     adapter_env.connect(adapter_logic.out, adapter_tx.inp)
     adapter_skeleton.offer()
@@ -236,7 +220,7 @@ def run_det_brake_assistant(
     pre_env = Environment(name="preprocessing", timeout=horizon, trace_origin=0)
     pre_logic = _PreprocessingLogic("logic", pre_env, scenario)
     pre_skeleton = pre_process.create_skeleton(PREPROCESSING_SERVICE, 1)
-    pre_config = _transactor_config(scenario, scenario.preprocessing_deadline_ns)
+    pre_config = transactor_config(scenario, scenario.preprocessing_deadline_ns)
     pre_frame_tx = ServerEventTransactor(
         "frame_tx", pre_env, pre_process, pre_skeleton, "frame", pre_config
     )
@@ -252,7 +236,7 @@ def run_det_brake_assistant(
         proxy = yield from pre_process.find_service(ADAPTER_SERVICE, 1)
         frame_rx = ClientEventTransactor(
             "frame_rx", pre_env, pre_process, proxy, "frame",
-            _transactor_config(scenario, scenario.adapter_deadline_ns),
+            transactor_config(scenario, scenario.adapter_deadline_ns),
         )
         pre_env.connect(frame_rx.out, pre_logic.frame_in)
         transactors.append(frame_rx)
@@ -267,7 +251,7 @@ def run_det_brake_assistant(
     cv_skeleton = cv_process.create_skeleton(CV_SERVICE, 1)
     cv_tx = ServerEventTransactor(
         "vehicles_tx", cv_env, cv_process, cv_skeleton, "vehicles",
-        _transactor_config(scenario, scenario.computer_vision_deadline_ns),
+        transactor_config(scenario, scenario.computer_vision_deadline_ns),
     )
     cv_env.connect(cv_logic.vehicles_out, cv_tx.inp)
     cv_skeleton.offer()
@@ -275,7 +259,7 @@ def run_det_brake_assistant(
 
     def cv_setup():
         proxy = yield from cv_process.find_service(PREPROCESSING_SERVICE, 1)
-        config = _transactor_config(scenario, scenario.preprocessing_deadline_ns)
+        config = transactor_config(scenario, scenario.preprocessing_deadline_ns)
         frame_rx = ClientEventTransactor(
             "frame_rx", cv_env, cv_process, proxy, "frame", config
         )
@@ -298,7 +282,7 @@ def run_det_brake_assistant(
     eba_skeleton = eba_process.create_skeleton(EBA_SERVICE, 1)
     eba_tx = ServerEventTransactor(
         "brake_tx", eba_env, eba_process, eba_skeleton, "brake",
-        _transactor_config(scenario, scenario.eba_deadline_ns),
+        transactor_config(scenario, scenario.eba_deadline_ns),
     )
     eba_env.connect(eba_logic.brake_out, eba_tx.inp)
     eba_skeleton.offer()
@@ -308,7 +292,7 @@ def run_det_brake_assistant(
         proxy = yield from eba_process.find_service(CV_SERVICE, 1)
         vehicles_rx = ClientEventTransactor(
             "vehicles_rx", eba_env, eba_process, proxy, "vehicles",
-            _transactor_config(scenario, scenario.computer_vision_deadline_ns),
+            transactor_config(scenario, scenario.computer_vision_deadline_ns),
         )
         eba_env.connect(vehicles_rx.out, eba_logic.vehicles_in)
         transactors.append(vehicles_rx)

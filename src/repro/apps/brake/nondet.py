@@ -42,12 +42,11 @@ from repro.apps.brake.instrumentation import (
 from repro.apps.brake.logic import decide_brake, detect_vehicles, preprocess
 from repro.apps.brake.scenario import BrakeScenario
 from repro.apps.brake.vision import SceneGenerator
-from repro.network import ConstantLatency, NetworkInterface, Switch, SwitchConfig
+from repro.apps.world import SEED_FIXED_SWITCH, build_world, random_offset, spike
+from repro.network import NetworkInterface, SwitchConfig
 from repro.obs import context as obs_context
 from repro.sim import Compute, SleepUntil, World
 from repro.sim.platform import CALM, MINNOWBOARD, Platform, PlatformConfig
-from repro.someip import SdDaemon
-from repro.time.duration import US
 
 #: Raw datagram port of the Video Adapter's proprietary camera input.
 ADAPTER_RAW_PORT = 15000
@@ -92,23 +91,13 @@ def build_brake_world(
 
     *switch_config* overrides the scenario-derived network (any
     :class:`~repro.network.latency.LatencyModel` via
-    :class:`~repro.harness.config.ScenarioSpec`); *fault_plan* installs a
-    :class:`~repro.faults.FaultPlan` (optionally replaying a recorded
-    fault *fault_replay* trace) before any traffic flows.
+    :class:`~repro.harness.config.ScenarioSpec`); the fault keywords
+    pass through to :func:`repro.apps.world.build_world`.
     """
     from repro.time.clock import ClockModel
 
-    world = World(seed)
-    if switch_config is None:
-        if scenario.deterministic_camera:
-            switch_config = SwitchConfig(
-                latency=ConstantLatency(300 * US),
-                loopback_latency=ConstantLatency(50 * US),
-            )
-        else:
-            switch_config = SwitchConfig()
-    switch = Switch(world.sim, world.rng.stream("net"), switch_config)
-    world.attach_network(switch)
+    if switch_config is None and scenario.deterministic_camera:
+        switch_config = SEED_FIXED_SWITCH
     vision_config = CALM if scenario.deterministic_camera else MINNOWBOARD
     hosts = [(VISION_ECU, vision_config), (FUSION_ECU, MINNOWBOARD)]
     if scenario.distributed:
@@ -119,21 +108,15 @@ def build_brake_world(
             timer_jitter_ns=MINNOWBOARD.timer_jitter_ns,
         )
         hosts.append((FUSION2_ECU, skewed))
-    for host, config in hosts:
-        platform = world.add_platform(host, config)
-        nic = NetworkInterface(platform, switch)
-        SdDaemon(platform, nic)
-    if fault_plan is not None and not fault_plan.is_empty:
-        from repro.faults import install_fault_plan
-
-        install_fault_plan(
-            world,
-            fault_plan,
-            replay=fault_replay,
-            universe=fault_universe,
-            checkpointer=fault_checkpointer,
-        )
-    return world
+    return build_world(
+        seed,
+        hosts,
+        switch_config,
+        fault_plan=fault_plan,
+        fault_replay=fault_replay,
+        fault_universe=fault_universe,
+        fault_checkpointer=fault_checkpointer,
+    )
 
 
 def start_camera(
@@ -176,25 +159,6 @@ def start_camera(
     return generator
 
 
-def _random_offset(world: World, name: str, period_ns: int) -> int:
-    return world.rng.stream(f"offset.{name}").randint(0, period_ns - 1)
-
-
-def _spike(world: World, name: str, scenario: BrakeScenario):
-    """Occasional extra latency of a periodic callback (OS hiccup).
-
-    Returns the number of nanoseconds this activation is late, drawn
-    from the scenario's spike model (usually 0).
-    """
-    rng = world.rng.stream(f"spike.{name}")
-    if (
-        scenario.callback_spike_probability > 0.0
-        and rng.random() < scenario.callback_spike_probability
-    ):
-        return rng.randint(0, scenario.callback_spike_max_ns)
-    return 0
-
-
 def run_nondet_brake_assistant(
     seed: int,
     scenario: BrakeScenario | None = None,
@@ -221,6 +185,7 @@ def run_nondet_brake_assistant(
     latencies: dict[int, int] = {}
     send_times: dict[int, int] = {}
     use_image = scenario.use_image_pipeline
+    spikes = (scenario.callback_spike_probability, scenario.callback_spike_max_ns)
 
     # ---- Video Adapter -----------------------------------------------------
     adapter_process = AraProcess(fusion, "adapter")
@@ -238,7 +203,7 @@ def run_nondet_brake_assistant(
     adapter_rng = world.rng.stream("exec.adapter")
 
     def adapter_body():
-        late = _spike(world, "adapter", scenario)
+        late = spike(world, "adapter", *spikes)
         if late:
             yield Compute(late)
         frame = adapter_buffer.read()
@@ -249,7 +214,7 @@ def run_nondet_brake_assistant(
 
     fusion.periodic(
         "adapter", scenario.period_ns, adapter_body,
-        offset_ns=_random_offset(world, "adapter", scenario.period_ns),
+        offset_ns=random_offset(world, "adapter", scenario.period_ns),
         start_delay_ns=scenario.warmup_ns // 2,
     )
 
@@ -274,7 +239,7 @@ def run_nondet_brake_assistant(
     pre_process.spawn("setup", pre_setup())
 
     def pre_body():
-        late = _spike(world, "preprocessing", scenario)
+        late = spike(world, "preprocessing", *spikes)
         if late:
             yield Compute(late)
         frame = pre_buffer.read()
@@ -287,7 +252,7 @@ def run_nondet_brake_assistant(
 
     fusion.periodic(
         "preprocessing", scenario.period_ns, pre_body,
-        offset_ns=_random_offset(world, "preprocessing", scenario.period_ns),
+        offset_ns=random_offset(world, "preprocessing", scenario.period_ns),
         start_delay_ns=scenario.warmup_ns // 2,
     )
 
@@ -316,7 +281,7 @@ def run_nondet_brake_assistant(
     cv_process.spawn("setup", cv_setup())
 
     def cv_body():
-        late = _spike(world, "computer-vision", scenario)
+        late = spike(world, "computer-vision", *spikes)
         if late:
             yield Compute(late)
         frame = cv_frame_buffer.read()
@@ -335,7 +300,7 @@ def run_nondet_brake_assistant(
 
     fusion.periodic(
         "computer-vision", scenario.period_ns, cv_body,
-        offset_ns=_random_offset(world, "computer-vision", scenario.period_ns),
+        offset_ns=random_offset(world, "computer-vision", scenario.period_ns),
         start_delay_ns=scenario.warmup_ns // 2,
     )
 
@@ -355,7 +320,7 @@ def run_nondet_brake_assistant(
     eba_process.spawn("setup", eba_setup())
 
     def eba_body():
-        late = _spike(world, "eba", scenario)
+        late = spike(world, "eba", *spikes)
         if late:
             yield Compute(late)
         vehicles = eba_buffer.read()
@@ -378,7 +343,7 @@ def run_nondet_brake_assistant(
 
     fusion.periodic(
         "eba", scenario.period_ns, eba_body,
-        offset_ns=_random_offset(world, "eba", scenario.period_ns),
+        offset_ns=random_offset(world, "eba", scenario.period_ns),
         start_delay_ns=scenario.warmup_ns // 2,
     )
 

@@ -1,37 +1,30 @@
 """Shared plumbing of the scenario library.
 
-Every library app builds its world the same way — a
-:class:`~repro.network.topology.TopologySpec` fabric, one platform +
-NIC + SD daemon per node, an optional fault plan — and reports results
-in the same :class:`~repro.apps.brake.instrumentation.BrakeRunResult`
+Every library app builds its world with :func:`library_world` on its
+own :class:`~repro.network.topology.TopologySpec` fabric, and reports
+results in the same :class:`~repro.apps.brake.instrumentation.BrakeRunResult`
 shape the whole harness (sweeps, observed runs, CLI reports,
 ``outcome_digest``) already consumes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from repro.network import ConstantLatency, NetworkInterface, Switch, SwitchConfig
+from repro.apps.world import SEED_FIXED_SWITCH, build_world
 from repro.network.topology import TopologySpec
 from repro.obs import context as obs_context
 from repro.sim import World
 from repro.sim.platform import MINNOWBOARD, PlatformConfig
-from repro.someip import SdDaemon
 from repro.time.clock import ClockModel
-from repro.time.duration import US
 
 __all__ = [
     "SinkCommand",
     "PipelineErrors",
-    "build_library_world",
-    "library_platform_config",
-    "library_switch_config",
+    "library_world",
     "begin_flow",
     "deliver_flow",
     "drop_flow",
-    "random_offset",
-    "spike",
 ]
 
 
@@ -51,29 +44,31 @@ CALM_QUAD = PlatformConfig(
 )
 
 
-def library_platform_config(scenario) -> PlatformConfig:
-    """Host config: calm (jitter-free) when inputs must be seed-fixed."""
-    if getattr(scenario, "deterministic_inputs", False):
-        return CALM_QUAD
-    return MINNOWBOARD
+def library_world(
+    seed: int, scenario, topology: TopologySpec, switch_config, fault_plan, *seams
+) -> World:
+    """*topology*'s fabric with one library host per node, in node order.
 
-
-def library_switch_config(scenario, switch_config):
-    """The app-default network when the caller supplied none.
-
-    Under ``deterministic_inputs`` the links get constant latencies —
-    the same defaults the brake world uses for ``deterministic_camera``
-    — so physical arrival times (and with them every physical-action
-    tag) are identical across world seeds.
+    Hosts are :data:`MINNOWBOARD` boards, or :data:`CALM_QUAD` ones on
+    :data:`~repro.apps.world.SEED_FIXED_SWITCH` links (unless the caller
+    supplied a network) under ``deterministic_inputs``.  *seams* are the
+    fault-replay arguments of :func:`repro.apps.world.build_world`.
     """
-    if switch_config is not None:
-        return switch_config
-    if getattr(scenario, "deterministic_inputs", False):
-        return SwitchConfig(
-            latency=ConstantLatency(300 * US),
-            loopback_latency=ConstantLatency(50 * US),
-        )
-    return None
+    config = MINNOWBOARD
+    if scenario.deterministic_inputs:
+        config = CALM_QUAD
+        switch_config = switch_config or SEED_FIXED_SWITCH
+    replay, universe, checkpointer = seams
+    return build_world(
+        seed,
+        [(node, config) for node in topology.nodes],
+        switch_config,
+        topology,
+        fault_plan=fault_plan,
+        fault_replay=replay,
+        fault_universe=universe,
+        fault_checkpointer=checkpointer,
+    )
 
 
 @dataclass(frozen=True)
@@ -117,46 +112,6 @@ class PipelineErrors:
         return {name: getattr(self, name) for name in LIB_ERROR_TYPES}
 
 
-def build_library_world(
-    seed: int,
-    hosts: list[tuple[str, PlatformConfig]],
-    topology: TopologySpec,
-    switch_config: SwitchConfig | None = None,
-    fault_plan=None,
-    fault_replay=None,
-    fault_universe=None,
-    fault_checkpointer=None,
-) -> World:
-    """One fabric, one platform + NIC + SD daemon per topology node.
-
-    *switch_config* (from ``ScenarioSpec``) may already carry a
-    topology; when it does not, the app's native *topology* is embedded
-    so CLI-supplied network knobs compose with the app's fabric.
-    """
-    world = World(seed)
-    if switch_config is None:
-        switch_config = SwitchConfig(topology=topology)
-    elif switch_config.topology is None:
-        switch_config = replace(switch_config, topology=topology)
-    switch = Switch(world.sim, world.rng.stream("net"), switch_config)
-    world.attach_network(switch)
-    for host, config in hosts:
-        platform = world.add_platform(host, config)
-        nic = NetworkInterface(platform, switch)
-        SdDaemon(platform, nic)
-    if fault_plan is not None and not fault_plan.is_empty:
-        from repro.faults import install_fault_plan
-
-        install_fault_plan(
-            world,
-            fault_plan,
-            replay=fault_replay,
-            universe=fault_universe,
-            checkpointer=fault_checkpointer,
-        )
-    return world
-
-
 def begin_flow(seq: int, now: int):
     """Open flow *seq* (or re-enter it if another producer opened it).
 
@@ -192,16 +147,3 @@ def drop_flow(seq: int, layer: str, cause: str, now: int) -> None:
     o = obs_context.ACTIVE
     if o.enabled:
         attribute_drop(o, layer, cause, now, flow_id=seq)
-
-
-def random_offset(world: World, name: str, period_ns: int) -> int:
-    """Deterministic per-task phase within the period (own RNG stream)."""
-    return world.rng.stream(f"offset.{name}").randint(0, period_ns - 1)
-
-
-def spike(world: World, name: str, probability: float, max_ns: int) -> int:
-    """Occasional extra latency of a periodic callback (OS hiccup)."""
-    rng = world.rng.stream(f"spike.{name}")
-    if probability > 0.0 and rng.random() < probability:
-        return rng.randint(0, max_ns)
-    return 0

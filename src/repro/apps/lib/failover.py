@@ -31,21 +31,18 @@ from repro.apps.lib.common import (
     PipelineErrors,
     SinkCommand,
     begin_flow,
-    build_library_world,
-    library_platform_config,
-    library_switch_config,
+    library_world,
     deliver_flow,
     drop_flow,
-    random_offset,
-    spike,
 )
 from repro.apps.lib.scenarios import FailoverScenario
+from repro.apps.world import random_offset, spike
 from repro.errors import ServiceNotAvailableError
 from repro.faults import FaultPlan, NodeOutage
 from repro.network.topology import TopologySpec
 from repro.obs.flows import CAUSE_NO_SUBSCRIBER, LAYER_SOMEIP
 from repro.reactors import Environment, Reactor
-from repro.sim import Compute, SleepUntil, World
+from repro.sim import Compute, SleepUntil
 from repro.someip.serialization import INT64, Struct, UINT32
 from repro.time.duration import SEC
 
@@ -186,25 +183,6 @@ class _ConsumerSupervisor:
                     break
 
 
-def _build_world(scenario, seed, switch_config, fault_plan, replay, universe, ckpt):
-    config = library_platform_config(scenario)
-    hosts = [
-        (PRIMARY_ECU, config),
-        (STANDBY_ECU, config),
-        (CONSUMER_ECU, config),
-    ]
-    return build_library_world(
-        seed,
-        hosts,
-        failover_topology(scenario),
-        switch_config=library_switch_config(scenario, switch_config),
-        fault_plan=fault_plan,
-        fault_replay=replay,
-        fault_universe=universe,
-        fault_checkpointer=ckpt,
-    )
-
-
 def run_nondet_failover(
     seed: int,
     scenario: FailoverScenario | None = None,
@@ -218,8 +196,8 @@ def run_nondet_failover(
     scenario = scenario or FailoverScenario()
     if fault_plan is None:
         fault_plan = failover_faults(scenario)
-    world = _build_world(
-        scenario, seed, switch_config, fault_plan,
+    world = library_world(
+        seed, scenario, failover_topology(scenario), switch_config, fault_plan,
         fault_replay, fault_universe, fault_checkpointer,
     )
     errors = PipelineErrors()
@@ -319,8 +297,8 @@ def run_det_failover(
     scenario = scenario or FailoverScenario()
     if fault_plan is None:
         fault_plan = failover_faults(scenario)
-    world = _build_world(
-        scenario, seed, switch_config, fault_plan,
+    world = library_world(
+        seed, scenario, failover_topology(scenario), switch_config, fault_plan,
         fault_replay, fault_universe, fault_checkpointer,
     )
     errors = PipelineErrors()

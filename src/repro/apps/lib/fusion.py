@@ -28,23 +28,13 @@ from repro.apps.lib.common import (
     PipelineErrors,
     SinkCommand,
     begin_flow,
-    build_library_world,
-    library_platform_config,
-    library_switch_config,
+    library_world,
     deliver_flow,
     drop_flow,
-    random_offset,
-    spike,
 )
 from repro.apps.lib.scenarios import FusionScenario
-from repro.dear import (
-    ClientEventTransactor,
-    LatePolicy,
-    ServerEventTransactor,
-    StpConfig,
-    TransactorConfig,
-)
-from repro.network import NetworkInterface
+from repro.apps.world import random_offset, spike, transactor_config
+from repro.dear import ClientEventTransactor, ServerEventTransactor
 from repro.network.topology import TopologySpec
 from repro.obs.flows import CAUSE_FANIN_MISMATCH, LAYER_APP, LAYER_REACTOR
 from repro.reactors import Environment, Reactor
@@ -99,26 +89,6 @@ def fuse_values(cam: int, rad: int, lid: int) -> float:
     return (cam + rad + lid) / 3.0
 
 
-def _build_world(scenario, seed, switch_config, fault_plan, replay, universe, ckpt):
-    config = library_platform_config(scenario)
-    hosts = [
-        (CAMERA_ECU, config),
-        (RADAR_ECU, config),
-        (LIDAR_ECU, config),
-        (FUSION_ECU, config),
-    ]
-    return build_library_world(
-        seed,
-        hosts,
-        fusion_topology(scenario),
-        switch_config=library_switch_config(scenario, switch_config),
-        fault_plan=fault_plan,
-        fault_replay=replay,
-        fault_universe=universe,
-        fault_checkpointer=ckpt,
-    )
-
-
 def _start_sensors(
     world: World,
     scenario: FusionScenario,
@@ -165,8 +135,8 @@ def run_nondet_fusion(
 ) -> BrakeRunResult:
     """Run the stock fusion pipeline once; returns measurements."""
     scenario = scenario or FusionScenario()
-    world = _build_world(
-        scenario, seed, switch_config, fault_plan,
+    world = library_world(
+        seed, scenario, fusion_topology(scenario), switch_config, fault_plan,
         fault_replay, fault_universe, fault_checkpointer,
     )
     fusion = world.platform(FUSION_ECU)
@@ -266,17 +236,6 @@ def run_nondet_fusion(
     )
 
 
-def _transactor_config(scenario: FusionScenario, deadline_ns: int) -> TransactorConfig:
-    return TransactorConfig(
-        deadline_ns=deadline_ns,
-        stp=StpConfig(
-            latency_bound_ns=scenario.latency_bound_ns,
-            clock_error_ns=scenario.clock_error_ns,
-        ),
-        late_policy=LatePolicy(scenario.late_policy),
-    )
-
-
 class _SensorLogic(Reactor):
     """One sensor: sporadic sample arrivals -> tagged sample events."""
 
@@ -357,8 +316,8 @@ def run_det_fusion(
 ) -> BrakeRunResult:
     """Run the DEAR fusion pipeline once; returns measurements."""
     scenario = scenario or FusionScenario()
-    world = _build_world(
-        scenario, seed, switch_config, fault_plan,
+    world = library_world(
+        seed, scenario, fusion_topology(scenario), switch_config, fault_plan,
         fault_replay, fault_universe, fault_checkpointer,
     )
     fusion = world.platform(FUSION_ECU)
@@ -380,7 +339,7 @@ def run_det_fusion(
         skeleton = process.create_skeleton(service, 1)
         tx = ServerEventTransactor(
             "sample_tx", env, process, skeleton, "sample",
-            _transactor_config(scenario, scenario.sensor_deadline_ns),
+            transactor_config(scenario, scenario.sensor_deadline_ns),
         )
         env.connect(logic.out, tx.inp)
         skeleton.offer()
@@ -407,7 +366,7 @@ def run_det_fusion(
     fusion_logic = _FusionLogic("logic", fusion_env, scenario, errors, sink, world)
 
     def fusion_setup():
-        config = _transactor_config(scenario, scenario.fuse_deadline_ns)
+        config = transactor_config(scenario, scenario.fuse_deadline_ns)
         for service, port in (
             (CAMERA_SERVICE, fusion_logic.cam_in),
             (RADAR_SERVICE, fusion_logic.rad_in),

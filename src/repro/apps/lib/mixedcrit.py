@@ -25,21 +25,12 @@ from repro.apps.lib.common import (
     PipelineErrors,
     SinkCommand,
     begin_flow,
-    build_library_world,
-    library_platform_config,
-    library_switch_config,
+    library_world,
     deliver_flow,
-    random_offset,
-    spike,
 )
 from repro.apps.lib.scenarios import MixedCriticalityScenario
-from repro.dear import (
-    ClientEventTransactor,
-    LatePolicy,
-    ServerEventTransactor,
-    StpConfig,
-    TransactorConfig,
-)
+from repro.apps.world import random_offset, spike, transactor_config
+from repro.dear import ClientEventTransactor, ServerEventTransactor
 from repro.network import NetworkInterface
 from repro.network.topology import TopologySpec
 from repro.reactors import Environment, Reactor
@@ -78,26 +69,6 @@ def mixedcrit_topology(
 def sample_value(seq: int) -> int:
     """Deterministic ground-truth sample (pure function of seq)."""
     return (seq * 41 + 3) % 211
-
-
-def _build_world(scenario, seed, switch_config, fault_plan, replay, universe, ckpt):
-    config = library_platform_config(scenario)
-    hosts = [
-        (SENSOR_ECU, config),
-        (TELEMETRY_ECU, config),
-        (CONTROL_ECU, config),
-        (LOGGER_ECU, config),
-    ]
-    return build_library_world(
-        seed,
-        hosts,
-        mixedcrit_topology(scenario),
-        switch_config=library_switch_config(scenario, switch_config),
-        fault_plan=fault_plan,
-        fault_replay=replay,
-        fault_universe=universe,
-        fault_checkpointer=ckpt,
-    )
 
 
 def _start_bulk_traffic(world: World, scenario: MixedCriticalityScenario) -> None:
@@ -157,8 +128,8 @@ def run_nondet_mixedcrit(
 ) -> BrakeRunResult:
     """Run the stock mixed-criticality pipeline once; returns measurements."""
     scenario = scenario or MixedCriticalityScenario()
-    world = _build_world(
-        scenario, seed, switch_config, fault_plan,
+    world = library_world(
+        seed, scenario, mixedcrit_topology(scenario), switch_config, fault_plan,
         fault_replay, fault_universe, fault_checkpointer,
     )
     errors = PipelineErrors()
@@ -233,17 +204,6 @@ def run_nondet_mixedcrit(
     )
 
 
-def _transactor_config(scenario: MixedCriticalityScenario) -> TransactorConfig:
-    return TransactorConfig(
-        deadline_ns=scenario.consume_deadline_ns,
-        stp=StpConfig(
-            latency_bound_ns=scenario.latency_bound_ns,
-            clock_error_ns=scenario.clock_error_ns,
-        ),
-        late_policy=LatePolicy(scenario.late_policy),
-    )
-
-
 class _SensorLogic(Reactor):
     """Sporadic sample arrivals -> tagged sample events."""
 
@@ -285,8 +245,8 @@ def run_det_mixedcrit(
 ) -> BrakeRunResult:
     """Run the DEAR mixed-criticality pipeline once; returns measurements."""
     scenario = scenario or MixedCriticalityScenario()
-    world = _build_world(
-        scenario, seed, switch_config, fault_plan,
+    world = library_world(
+        seed, scenario, mixedcrit_topology(scenario), switch_config, fault_plan,
         fault_replay, fault_universe, fault_checkpointer,
     )
     errors = PipelineErrors()
@@ -304,7 +264,7 @@ def run_det_mixedcrit(
     skeleton = sensor_process.create_skeleton(CONTROL_SERVICE, INSTANCE)
     tx = ServerEventTransactor(
         "sample_tx", sensor_env, sensor_process, skeleton, "sample",
-        _transactor_config(scenario),
+        transactor_config(scenario, scenario.consume_deadline_ns),
     )
     sensor_env.connect(sensor_logic.out, tx.inp)
     skeleton.offer()
@@ -333,7 +293,7 @@ def run_det_mixedcrit(
         proxy = yield from control_process.find_service(CONTROL_SERVICE, INSTANCE)
         rx = ClientEventTransactor(
             "sample_rx", control_env, control_process, proxy, "sample",
-            _transactor_config(scenario),
+            transactor_config(scenario, scenario.consume_deadline_ns),
         )
         control_env.connect(rx.out, control_logic.sample_in)
         transactors.append(rx)

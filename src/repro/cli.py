@@ -74,8 +74,9 @@ def _sweep_options() -> argparse.ArgumentParser:
     )
     group.add_argument(
         "--spec", default=None, metavar="FILE",
-        help="load a scenario-spec/v1 JSON file (seeds, scenario, network, "
-             "STP bounds, fault plan) and run the experiment from it",
+        help="load a scenario-spec JSON file (v1 or v2: app, seeds, "
+             "scenario, network, STP bounds, fault plan) and run the "
+             "experiment from it",
     )
     obs_group = common.add_argument_group("observability")
     obs_group.add_argument(
@@ -105,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig1 = commands.add_parser(
         "fig1", help="Figure 1: client/server histogram", parents=[common]
     )
-    _add_int(fig1, "--seeds", 200, "number of stock-AP runs")
+    _add_int(fig1, "--seeds", 200, "number of stock-AP runs (DEAR: the first 8)")
 
     commands.add_parser(
         "fig3", help="Figure 3: tagged message sequence", parents=[common]
@@ -400,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument(
         "--spec", required=True, metavar="FILE",
-        help="scenario-spec/v1 JSON file describing the campaign",
+        help="scenario-spec JSON file (v1 or v2) describing the campaign",
     )
     submit.add_argument(
         "--coordinator", default="http://127.0.0.1:8765", metavar="URL",
@@ -574,11 +575,13 @@ def _cli_spec(
     variant: str = "det",
     brake_frames: int | None = None,
     n_seeds: int | None = None,
+    app: str = "brake",
 ):
     """The :class:`ScenarioSpec` a seeded subcommand runs.
 
     ``--spec FILE`` wins, with *variant* applied.  Otherwise the spec is
-    ``--app`` (brake by default) with seeds ``0..N-1`` from *n_seeds*
+    ``--app`` (else *app*: the counter for ``fig1``/``ablation``, brake
+    for the rest) with seeds ``0..N-1`` from *n_seeds*
     (a subcommand's own seed count, e.g. ``fig5 --runs``) or ``--seeds
     N``, else the single ``--seed``, and ``--frames`` applied to the
     app's default scenario; without ``--frames`` brake runs
@@ -593,7 +596,7 @@ def _cli_spec(
     spec = _load_spec(args)
     if spec is not None:
         return replace(spec, variant=variant)
-    app = getattr(args, "app", "brake")
+    app = getattr(args, "app", app)
     frames = getattr(args, "frames", None)
     if frames is None and app == "brake":
         frames = brake_frames
@@ -642,47 +645,53 @@ def _observe(
     return observation, result
 
 
-def _run_one(name: str, args: argparse.Namespace, sweep) -> str:
+def _run_one(name: str, args: argparse.Namespace, sweep):
+    """Run figure *name*; returns its rendering and the spec it ran.
+
+    The spec is ``None`` for the drivers that run none (``fig3`` and the
+    extensions; ``skew`` and ``scaling`` read only its STP bounds).
+    """
     from repro.harness import extensions, figures
 
-    spec = _load_spec(args)
-    if name == "fig1":
-        return figures.figure1(nondet_seeds=args.seeds, sweep=sweep).render()
     if name == "fig3":
-        return figures.figure3_sequence().render()
-    if name == "ablation":
-        return figures.ablation_sources(args.seeds, sweep).render()
+        return figures.figure3_sequence().render(), None
     if name == "skew":
-        return extensions.clock_skew_sweep(sweep=sweep, spec=spec).render()
+        result = extensions.clock_skew_sweep(sweep=sweep, spec=_load_spec(args))
+        return result.render(), None
     if name == "scaling":
-        return extensions.pipeline_scaling(sweep=sweep, spec=spec).render()
+        result = extensions.pipeline_scaling(sweep=sweep, spec=_load_spec(args))
+        return result.render(), None
     if name == "native":
-        return extensions.native_transport_comparison(sweep=sweep).render()
-    # The brake figures: presets over one spec each.
-    if name == "fig5":
-        return figures.figure5(
-            _cli_spec(args, "nondet", n_seeds=args.runs), sweep
-        ).render()
-    if name == "let":
-        return figures.let_baseline(_cli_spec(args, n_seeds=3), sweep).render()
-    if name == "det":
-        return figures.det_case_study(_cli_spec(args), sweep).render()
-    if name == "tradeoff":
-        return figures.tradeoff(_cli_spec(args), sweep=sweep).render()
-    if name == "overhead":
-        return figures.overhead(_cli_spec(args), sweep).render()
-    if name == "distributed":
-        return figures.distributed(_cli_spec(args), sweep=sweep).render()
-    raise ValueError(f"unknown command {name!r}")
+        return extensions.native_transport_comparison(sweep=sweep).render(), None
+    # The paper figures: presets over one spec each.
+    if name in ("fig1", "ablation"):
+        spec = _cli_spec(args, "nondet", app="counter")
+        driver = figures.figure1 if name == "fig1" else figures.ablation_sources
+    elif name == "fig5":
+        spec = _cli_spec(args, "nondet", n_seeds=args.runs)
+        driver = figures.figure5
+    elif name == "let":
+        spec = _cli_spec(args, n_seeds=3)
+        driver = figures.let_baseline
+    else:
+        spec = _cli_spec(args)
+        driver = {
+            "det": figures.det_case_study,
+            "tradeoff": figures.tradeoff,
+            "overhead": figures.overhead,
+            "distributed": figures.distributed,
+        }[name]
+    return driver(spec, sweep=sweep).render(), spec
 
 
 def _explore_scenario(app: str, frames: int, deterministic: bool = False):
     """The scenario explore/replay runs: hazard-prone and small.
 
     Brake uses its calibration scenario (tightened to provoke failures);
-    library scenarios are hazard-prone by construction and just get the
-    frame count applied.  *deterministic* selects the DEAR-friendly
-    camera for brake; library det variants need no such knob.
+    other apps' scenarios are hazard-prone by construction and just get
+    the frame count applied.  *deterministic* selects the DEAR-friendly
+    camera for brake and seed-fixed inputs for the library apps; an app
+    without them (the counter) has nothing for ``--verify`` to hold fixed.
     """
     from dataclasses import replace
 
@@ -691,11 +700,15 @@ def _explore_scenario(app: str, frames: int, deterministic: bool = False):
 
     if app == "brake":
         return calibration_scenario(frames, deterministic_camera=deterministic)
-    return replace(
-        apps.get(app).default_scenario(),
-        n_frames=frames,
-        deterministic_inputs=deterministic,
-    )
+    scenario = replace(apps.get(app).default_scenario(), n_frames=frames)
+    if not deterministic:
+        return scenario
+    if not hasattr(scenario, "deterministic_inputs"):
+        raise SystemExit(
+            f"explore --verify: app {app!r} has no seed-fixed inputs "
+            "(deterministic_inputs) to verify DEAR determinism under"
+        )
+    return replace(scenario, deterministic_inputs=True)
 
 
 def _replay_trace(args: argparse.Namespace) -> int:
@@ -778,6 +791,8 @@ def _run_explore_inner(args, sweep, strategy, engine) -> int:
 
     app = getattr(args, "app", "brake")
     definition = apps.get(app)
+    if args.verify > 0:
+        det_scenario = _explore_scenario(app, args.frames, deterministic=True)
     explorer = Explorer(
         experiment=definition.runner("nondet"),
         scenario=_explore_scenario(app, args.frames),
@@ -837,7 +852,6 @@ def _run_explore_inner(args, sweep, strategy, engine) -> int:
 
     code = 0 if result.found is not None else 1
     if args.verify > 0:
-        det_scenario = _explore_scenario(app, args.frames, deterministic=True)
         det_horizon = Explorer(
             experiment=definition.runner("det"),
             scenario=det_scenario,
@@ -1004,6 +1018,11 @@ def _run_faults(args: argparse.Namespace, sweep) -> int:
         deterministic_knob = (
             "deterministic_camera" if app == "brake" else "deterministic_inputs"
         )
+        if not hasattr(spec.scenario, deterministic_knob):
+            raise SystemExit(
+                f"faults: app {app!r} has no seed-fixed inputs "
+                f"({deterministic_knob}) for the cross-seed trace check"
+            )
         scenario = replace(
             spec.scenario,
             late_policy=args.late_policy,
@@ -1537,15 +1556,18 @@ _QUICK_SIZES = {
 
 
 def _run_figures(args: argparse.Namespace, sweep) -> int:
-    """One paper figure, or ``repro all`` of them, printed to stdout."""
-    if args.command != "all":
-        from repro.harness.figures import BrakeSpecError
+    """One paper figure, or ``repro all`` of them, printed to stdout.
 
-        try:
-            print(_run_one(args.command, args, sweep))
-        except BrakeSpecError as error:
-            raise SystemExit(f"repro {args.command}: {error}") from None
-    else:
+    A single figure's ``--trace-out``/``--metrics-out`` observe the first
+    seed of the spec it ran, at most 500 frames when sized by
+    ``--frames``; a figure that runs no spec (or ``all``, many) refuses.
+    """
+    from repro.harness.figures import FigureSpecError
+
+    exports = args.trace_out or args.metrics_out
+    if args.command == "all":
+        if exports:
+            raise SystemExit("repro all: runs many specs; export one figure's run")
         for name in _ALL:
             sub_args = build_parser().parse_args([name])
             if args.quick:
@@ -1553,8 +1575,24 @@ def _run_figures(args: argparse.Namespace, sweep) -> int:
                     setattr(sub_args, key, value)
             started = time.time()
             print(f"==== {name} " + "=" * (60 - len(name)))
-            print(_run_one(name, sub_args, sweep))
+            print(_run_one(name, sub_args, sweep)[0])
             print(f"---- {name} done in {time.time() - started:.1f}s\n")
+        return 0
+    try:
+        text, spec = _run_one(args.command, args, sweep)
+    except FigureSpecError as error:
+        raise SystemExit(f"repro {args.command}: {error}") from None
+    print(text)
+    if spec is None:
+        if exports:
+            raise SystemExit(
+                f"repro {args.command}: runs no scenario spec, so "
+                "--trace-out/--metrics-out have no run to observe"
+            )
+        return 0
+    if getattr(args, "frames", None) is not None:
+        spec = _with_frames(spec, min(spec.scenario.n_frames, 500))
+    _observe(args, spec)
     return 0
 
 
@@ -1582,15 +1620,9 @@ def main(argv: list[str] | None = None) -> int:
         "explore": _run_explore,
     }.get(args.command, _run_figures)
     code = runner(args, sweep)
-    if runner in (_run_explore, _run_figures):
-        # The presets export their own spec.  These export the first
-        # seed of the subcommand's spec (nondet for the stock-AP
-        # figures), at most 500 frames when sized by ``--frames``.
-        variant = "nondet" if args.command in ("fig1", "fig5") else "det"
-        spec = _cli_spec(args, variant, brake_frames=200)
-        if getattr(args, "frames", None) is not None:
-            spec = _with_frames(spec, min(spec.scenario.n_frames, 500))
-        _observe(args, spec)
+    if runner is _run_explore:
+        # Explore exports its app's DEAR variant at its frame count.
+        _observe(args, _with_frames(_cli_spec(args), min(args.frames, 500)))
     if sweep.stats.sweeps:
         print(sweep.stats.summary_line(), file=sys.stderr)
     return code

@@ -17,14 +17,22 @@ probe the parts of the design the paper only argues about:
   :func:`native_transport_comparison`, which checks behavioural
   equivalence and measures the wire-size saving over the trailer
   workaround.
+
+All three run one DEAR pulse chain (:func:`_run_pulse_chain`) on a
+world from :func:`repro.apps.world.build_world`.  They stay drivers
+rather than registry apps: each is a fixed seed-0 sweep over
+configurations (skew/``E`` pairs, depths, tag encodings) with no stock
+variant, so a seed sweep over a ``ScenarioSpec`` has nothing to vary.
+A spec's STP bounds still apply where they mean something.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 from repro.analysis.report import render_table
+from repro.apps.world import build_world
 from repro.harness.config import ScenarioSpec
 from repro.harness.sweep import SweepRunner
 from repro.ara import AraProcess, Event, Method, ServiceInterface
@@ -34,13 +42,19 @@ from repro.dear import (
     StpConfig,
     TransactorConfig,
 )
-from repro.network import ConstantLatency, NetworkInterface, Switch, SwitchConfig
+from repro.network import ConstantLatency, SwitchConfig
 from repro.reactors import Environment, Reactor
-from repro.sim import World
-from repro.sim.platform import CALM, PlatformConfig
-from repro.someip import SdDaemon
+from repro.sim.platform import CALM
 from repro.someip.serialization import INT32
 from repro.time import ClockModel, MS, SEC
+
+#: Constant 1 ms links, no serialization delay: every latency the
+#: chain shows is the DEAR arithmetic, not the network.
+PULSE_SWITCH = SwitchConfig(
+    latency=ConstantLatency(1 * MS),
+    loopback_latency=ConstantLatency(100_000),
+    ns_per_byte=0,
+)
 
 
 def _pulse_interface(service_id: int, name: str = "Pulse") -> ServiceInterface:
@@ -52,31 +66,151 @@ def _pulse_interface(service_id: int, name: str = "Pulse") -> ServiceInterface:
 
 
 class _Publisher(Reactor):
+    """Publishes 1..count every *period*; records each pulse's send tag."""
+
     def __init__(self, name, owner, count, period=20 * MS, offset=400 * MS):
         super().__init__(name, owner)
         self.out = self.output("out")
         tick = self.timer("tick", offset=offset, period=period)
         self.n = 0
+        self.sent: dict[int, int] = {}
 
         def fire(ctx):
             if self.n < count:
                 self.n += 1
+                self.sent[self.n] = ctx.tag.time
                 ctx.set(self.out, self.n)
 
         self.reaction("fire", triggers=[tick], effects=[self.out], body=fire)
 
 
 class _Subscriber(Reactor):
-    def __init__(self, name, owner, ticking=True):
+    """Records ``(tag, value)`` of every pulse; *forward* passes it on.
+
+    A *ticking* subscriber also advances its own logical time every
+    millisecond, so pulses released after that time are STP violations.
+    """
+
+    def __init__(self, name, owner, ticking=True, forward=False):
         super().__init__(name, owner)
         self.inp = self.input("inp")
         self.received = []
         if ticking:
             self.timer("local", offset=0, period=1 * MS)
-        self.reaction(
-            "recv", triggers=[self.inp],
-            body=lambda ctx: self.received.append((ctx.tag, ctx.get(self.inp))),
+        effects = []
+        if forward:
+            self.out = self.output("out")
+            effects.append(self.out)
+
+        def recv(ctx):
+            value = ctx.get(self.inp)
+            if forward:
+                ctx.set(self.out, value)
+            else:
+                self.received.append((ctx.tag, value))
+
+        self.reaction("recv", triggers=[self.inp], effects=effects, body=recv)
+
+
+@dataclass
+class _PulseChain:
+    """What one run of :func:`_run_pulse_chain` observed."""
+
+    #: pulse value -> tag time at which it left the source.
+    sent: dict[int, int]
+    #: ``(tag, value)`` of every pulse reaching the last hop.
+    received: list
+    #: STP violations over every hop's receiving transactor.
+    stp_violations: int
+    #: Logical trace fingerprint of the last hop's environment.
+    fingerprint: str
+
+
+def _run_pulse_chain(
+    deadline_ns: int = 5 * MS,
+    latency_bound_ns: int = 5 * MS,
+    clock_error_ns: int = 0,
+    depth: int = 1,
+    count: int = 3,
+    skew_ns: int = 0,
+    ticking: bool = False,
+    transport: str = "trailer",
+) -> _PulseChain:
+    """A DEAR event chain of *depth* SWC boundaries on a seed-0 world.
+
+    Two calm ECUs, the second one's clock offset by *skew_ns*.  A source
+    SWC on the first publishes *count* pulses; hop ``i`` is its own AP
+    process and reactor program on the other ECU than hop ``i - 1``,
+    subscribing to pulse service ``i`` through a client event transactor
+    and (but for the last hop) republishing on service ``i + 1``
+    through a server event transactor.
+    """
+    config = TransactorConfig(
+        deadline_ns=deadline_ns,
+        stp=StpConfig(
+            latency_bound_ns=latency_bound_ns, clock_error_ns=clock_error_ns
+        ),
+    )
+    hosts = [
+        ("ecu-a", CALM),
+        ("ecu-b", replace(CALM, clock=ClockModel(offset_ns=skew_ns))),
+    ]
+    world = build_world(0, hosts, PULSE_SWITCH)
+    platforms = [world.platform(host) for host, _ in hosts]
+    interfaces = [
+        _pulse_interface(0x5300 + index, f"Hop{index}") for index in range(depth)
+    ]
+    receivers = []
+
+    def stage(name, platform, upstream, downstream, logic):
+        """One SWC: receive *upstream* into *logic*, publish on *downstream*."""
+        process = AraProcess(platform, name, tag_aware=True, tag_transport=transport)
+        env = logic.environment
+        if downstream is not None:
+            skeleton = process.create_skeleton(downstream, 1)
+            skeleton.implement("noop", lambda: None)
+            tx = ServerEventTransactor("tx", env, process, skeleton, "pulse", config)
+            env.connect(logic.out, tx.inp)
+            skeleton.offer()
+        if upstream is None:
+            env.start(platform)
+            return
+
+        def setup():
+            proxy = yield from process.find_service(upstream, 1)
+            rx = ClientEventTransactor("rx", env, process, proxy, "pulse", config)
+            receivers.append(rx)
+            env.connect(rx.out, logic.inp)
+            env.start(platform)
+
+        process.spawn("setup", setup())
+
+    source = _Publisher(
+        "publisher", Environment(name="source", timeout=3 * SEC), count
+    )
+    stage("source", platforms[0], None, interfaces[0], source)
+    for index in range(depth):
+        last = index == depth - 1
+        logic = _Subscriber(
+            "logic",
+            Environment(name=f"hop{index}", timeout=3 * SEC, trace_origin=0),
+            ticking=ticking,
+            forward=not last,
         )
+        stage(
+            f"hop{index}",
+            platforms[(index + 1) % len(platforms)],
+            interfaces[index],
+            None if last else interfaces[index + 1],
+            logic,
+        )
+    world.run_for(6 * SEC)
+    return _PulseChain(
+        sent=source.sent,
+        received=logic.received,
+        stp_violations=sum(rx.stp_violations for rx in receivers),
+        fingerprint=logic.environment.trace.fingerprint(),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -126,65 +260,19 @@ def _skew_point(
 ) -> SkewPoint:
     """One (actual skew, assumed E) configuration (runs in a worker)."""
     actual_skew, assumed_error = configuration
-    interface = _pulse_interface(0x5200)
-    world = World(0)
-    switch = Switch(
-        world.sim, world.rng.stream("net"),
-        SwitchConfig(latency=ConstantLatency(1 * MS), ns_per_byte=0),
+    chain = _run_pulse_chain(
+        latency_bound_ns=latency_bound_ns,
+        clock_error_ns=assumed_error,
+        count=count,
+        skew_ns=actual_skew,
+        ticking=True,
     )
-    world.attach_network(switch)
-    pub_platform = world.add_platform("pub-ecu", CALM)
-    sub_platform = world.add_platform(
-        "sub-ecu",
-        PlatformConfig(
-            num_cores=1,
-            clock=ClockModel(offset_ns=actual_skew),
-            dispatch_jitter_ns=0,
-            timer_jitter_ns=0,
-        ),
-    )
-    for platform in (pub_platform, sub_platform):
-        SdDaemon(platform, NetworkInterface(platform, switch))
-    config = TransactorConfig(
-        deadline_ns=5 * MS,
-        stp=StpConfig(
-            latency_bound_ns=latency_bound_ns, clock_error_ns=assumed_error
-        ),
-    )
-    server_process = AraProcess(pub_platform, "pub", tag_aware=True)
-    server_env = Environment(name="pub", timeout=2 * SEC)
-    publisher = _Publisher("publisher", server_env, count)
-    skeleton = server_process.create_skeleton(interface, 1)
-    skeleton.implement("noop", lambda: None)
-    tx = ServerEventTransactor(
-        "tx", server_env, server_process, skeleton, "pulse", config
-    )
-    server_env.connect(publisher.out, tx.inp)
-    skeleton.offer()
-    server_env.start(pub_platform)
-
-    client_process = AraProcess(sub_platform, "sub", tag_aware=True)
-    client_env = Environment(name="sub", timeout=3 * SEC)
-    subscriber = _Subscriber("subscriber", client_env)
-    holder = {}
-
-    def setup():
-        proxy = yield from client_process.find_service(interface, 1)
-        rx = ClientEventTransactor(
-            "rx", client_env, client_process, proxy, "pulse", config
-        )
-        client_env.connect(rx.out, subscriber.inp)
-        client_env.start(sub_platform)
-        holder["rx"] = rx
-
-    client_process.spawn("setup", setup())
-    world.run_for(5 * SEC)
-    tags = [tag for tag, _ in subscriber.received]
+    tags = [tag for tag, _ in chain.received]
     return SkewPoint(
         actual_skew_ns=actual_skew,
         assumed_error_ns=assumed_error,
-        stp_violations=holder["rx"].stp_violations,
-        delivered=len(subscriber.received),
+        stp_violations=chain.stp_violations,
+        delivered=len(chain.received),
         in_order=tags == sorted(tags),
     )
 
@@ -269,115 +357,14 @@ def _scaling_point(
     depth: int, deadline_ns: int, latency_bound_ns: int
 ) -> ScalePoint:
     """One pipeline depth of the scaling sweep (runs in a worker)."""
-    hop_cost = deadline_ns + latency_bound_ns
-    config = TransactorConfig(
-        deadline_ns=deadline_ns, stp=StpConfig(latency_bound_ns=latency_bound_ns)
-    )
-    world = World(0)
-    switch = Switch(
-        world.sim, world.rng.stream("net"),
-        SwitchConfig(latency=ConstantLatency(1 * MS),
-                     loopback_latency=ConstantLatency(100_000),
-                     ns_per_byte=0),
-    )
-    world.attach_network(switch)
-    platforms = []
-    for host in ("ecu-a", "ecu-b"):
-        platform = world.add_platform(host, CALM)
-        SdDaemon(platform, NetworkInterface(platform, switch))
-        platforms.append(platform)
-
-    interfaces = [
-        _pulse_interface(0x5300 + index, f"Hop{index}")
-        for index in range(depth)
-    ]
-    start_tag = {}
-    end_tags = []
-
-    # Source SWC publishes into hop 0.
-    source_platform = platforms[0]
-    source_process = AraProcess(source_platform, "source", tag_aware=True)
-    source_env = Environment(name="source", timeout=3 * SEC)
-    publisher = _Publisher("publisher", source_env, count=3)
-    source_skeleton = source_process.create_skeleton(interfaces[0], 1)
-    source_skeleton.implement("noop", lambda: None)
-    source_tx = ServerEventTransactor(
-        "tx", source_env, source_process, source_skeleton, "pulse", config
-    )
-
-    class _Tap(Reactor):
-        """Records the tag at which each pulse leaves the source."""
-
-        def __init__(self, name, owner):
-            super().__init__(name, owner)
-            self.inp = self.input("inp")
-            self.out = self.output("out")
-
-            def tap(ctx):
-                start_tag[ctx.get(self.inp)] = ctx.tag.time
-                ctx.set(self.out, ctx.get(self.inp))
-
-            self.reaction("tap", triggers=[self.inp], effects=[self.out],
-                          body=tap)
-
-    tap = _Tap("tap", source_env)
-    source_env.connect(publisher.out, tap.inp)
-    source_env.connect(tap.out, source_tx.inp)
-    source_skeleton.offer()
-    source_env.start(source_platform)
-
-    # Forwarding SWCs: hop i subscribes to interface i, publishes i+1.
-    def make_forwarder(index):
-        platform = platforms[(index + 1) % 2]
-        process = AraProcess(platform, f"hop{index}", tag_aware=True)
-        env = Environment(name=f"hop{index}", timeout=3 * SEC)
-        is_last = index == depth - 1
-
-        class Forwarder(Reactor):
-            def __init__(self, name, owner):
-                super().__init__(name, owner)
-                self.inp = self.input("inp")
-                self.out = self.output("out")
-
-                def forward(ctx):
-                    value = ctx.get(self.inp)
-                    if is_last:
-                        end_tags.append((value, ctx.tag.time))
-                    else:
-                        ctx.set(self.out, value)
-
-                self.reaction("fwd", triggers=[self.inp],
-                              effects=[self.out], body=forward)
-
-        forwarder = Forwarder("logic", env)
-        if not is_last:
-            skeleton = process.create_skeleton(interfaces[index + 1], 1)
-            skeleton.implement("noop", lambda: None)
-            tx = ServerEventTransactor(
-                "tx", env, process, skeleton, "pulse", config
-            )
-            env.connect(forwarder.out, tx.inp)
-            skeleton.offer()
-
-        def setup():
-            proxy = yield from process.find_service(interfaces[index], 1)
-            rx = ClientEventTransactor(
-                "rx", env, process, proxy, "pulse", config
-            )
-            env.connect(rx.out, forwarder.inp)
-            env.start(platform)
-
-        process.spawn("setup", setup())
-
-    for index in range(depth):
-        make_forwarder(index)
-    world.run_for(6 * SEC)
-    if not end_tags or not start_tag:
+    chain = _run_pulse_chain(deadline_ns, latency_bound_ns, depth=depth)
+    if not chain.received or not chain.sent:
         raise RuntimeError(f"pipeline of depth {depth} produced no output")
-    value, end_time = end_tags[0]
-    latency = end_time - start_tag[value]
+    tag, value = chain.received[0]
     return ScalePoint(
-        depth=depth, logical_latency_ns=latency, expected_ns=depth * hop_cost
+        depth=depth,
+        logical_latency_ns=tag.time - chain.sent[value],
+        expected_ns=depth * (deadline_ns + latency_bound_ns),
     )
 
 
@@ -444,48 +431,7 @@ class NativeTransportResult:
 
 def _run_encoding_chain(transport: str) -> str:
     """One pulse chain with the given tag encoding; returns its trace."""
-    interface = _pulse_interface(0x5400, "EncodingPulse")
-    world = World(0)
-    switch = Switch(
-        world.sim, world.rng.stream("net"),
-        SwitchConfig(latency=ConstantLatency(1 * MS), ns_per_byte=0),
-    )
-    world.attach_network(switch)
-    for host in ("pub-ecu", "sub-ecu"):
-        platform = world.add_platform(host, CALM)
-        SdDaemon(platform, NetworkInterface(platform, switch))
-    config = TransactorConfig(
-        deadline_ns=5 * MS, stp=StpConfig(latency_bound_ns=5 * MS)
-    )
-    server_process = AraProcess(
-        world.platform("pub-ecu"), "pub", tag_aware=True, tag_transport=transport
-    )
-    server_env = Environment(name="pub", timeout=2 * SEC, trace_origin=0)
-    publisher = _Publisher("publisher", server_env, count=4)
-    skeleton = server_process.create_skeleton(interface, 1)
-    skeleton.implement("noop", lambda: None)
-    tx = ServerEventTransactor("tx", server_env, server_process, skeleton,
-                               "pulse", config)
-    server_env.connect(publisher.out, tx.inp)
-    skeleton.offer()
-    server_env.start(world.platform("pub-ecu"))
-
-    client_process = AraProcess(
-        world.platform("sub-ecu"), "sub", tag_aware=True, tag_transport=transport
-    )
-    client_env = Environment(name="sub", timeout=3 * SEC, trace_origin=0)
-    subscriber = _Subscriber("subscriber", client_env, ticking=False)
-
-    def setup():
-        proxy = yield from client_process.find_service(interface, 1)
-        rx = ClientEventTransactor("rx", client_env, client_process, proxy,
-                                   "pulse", config)
-        client_env.connect(rx.out, subscriber.inp)
-        client_env.start(world.platform("sub-ecu"))
-
-    client_process.spawn("setup", setup())
-    world.run_for(5 * SEC)
-    return client_env.trace.fingerprint()
+    return _run_pulse_chain(count=4, transport=transport).fingerprint
 
 
 def native_transport_comparison(

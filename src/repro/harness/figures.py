@@ -8,8 +8,11 @@ The brake figures (``figure5``, ``det_case_study``, ``tradeoff``,
 ``overhead``, ``let_baseline``, ``distributed``) run every seed of one
 :class:`~repro.harness.config.ScenarioSpec` through ``run_scenario_spec``;
 ``spec=None`` is the figure's paper default, another app's spec raises
-:class:`BrakeSpecError`.  Only sweep axes that are not spec fields stay
+:class:`FigureSpecError`.  Only sweep axes that are not spec fields stay
 parameters: ``tradeoff``'s deadlines, ``distributed``'s (skew, E) pairs.
+The counter figures (``figure1``, ``ablation_sources``) do the same with
+the ``counter`` app; ``ablation_sources``' four rows are overrides of
+its spec.
 
 Every sweep-shaped driver accepts an optional ``sweep``
 (:class:`repro.harness.sweep.SweepRunner`): pass one to control worker
@@ -38,6 +41,7 @@ from repro.apps.brake.logic import (
     preprocess,
 )
 from repro.apps.brake.vision import SceneGenerator
+from repro.apps.world import build_world
 from repro.ara import MethodCallProcessingMode
 from repro.harness.config import ScenarioSpec, run_scenario_spec
 from repro.harness.sweep import SweepRunner
@@ -50,6 +54,15 @@ from repro.time.duration import MS
 # ---------------------------------------------------------------------------
 # FIG1 — the client/server histogram.
 # ---------------------------------------------------------------------------
+
+
+#: Seeds of Figure 1's DEAR contrast: the first ones of the spec.
+FIG1_DEAR_SEEDS = 8
+
+
+def _printed_counts(runs) -> Counter:
+    """Histogram of every round's printed value over counter *runs*."""
+    return Counter(value for run in runs for value in counter.printed_values(run))
 
 
 @dataclass
@@ -80,19 +93,21 @@ class Figure1Result:
 
 
 def figure1(
-    nondet_seeds: int = 300,
-    det_seeds: int = 10,
-    sweep: SweepRunner | None = None,
+    spec: ScenarioSpec | None = None, sweep: SweepRunner | None = None
 ) -> Figure1Result:
-    """Reproduce Figure 1: run the counter app across seeds."""
+    """Reproduce Figure 1: the counter app's printed values across seeds.
+
+    The stock histogram sweeps the stock variant of *spec* over its
+    seeds (default 300); the DEAR contrast runs the first
+    :data:`FIG1_DEAR_SEEDS` of them.
+    """
     sweep = sweep or SweepRunner()
-    nondet_runs = sweep.map(
-        counter.run_nondet, range(nondet_seeds), name="fig1-nondet"
+    spec = _app_spec(spec, "counter", "nondet", seeds=300)
+    det = replace(spec, variant="det").with_seeds(spec.seeds[:FIG1_DEAR_SEEDS])
+    return Figure1Result(
+        _printed_counts(sweep.run_spec(spec).values()),
+        _printed_counts(sweep.run_spec(det).values()),
     )
-    det_runs = sweep.map(counter.run_det, range(det_seeds), name="fig1-det")
-    nondet = Counter(run.printed_value for run in nondet_runs)
-    det = Counter(run.printed_value for run in det_runs)
-    return Figure1Result(nondet, det)
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +171,7 @@ def figure3_sequence(seed: int = 0) -> Figure3Result:
         StpConfig,
         TransactorConfig,
     )
-    from repro.network import NetworkInterface, Switch
     from repro.reactors import Environment, Reactor
-    from repro.someip import SdDaemon
     from repro.someip.serialization import INT32
     from repro.time.duration import SEC
 
@@ -171,14 +184,9 @@ def figure3_sequence(seed: int = 0) -> Figure3Result:
     stp = StpConfig(latency_bound_ns=latency_bound, clock_error_ns=0)
     client_config = TransactorConfig(deadline_ns=deadline_c, stp=stp)
     server_config = TransactorConfig(deadline_ns=deadline_s, stp=stp)
-
-    world = World(seed)
-    switch = Switch(world.sim, world.rng.stream("net"))
-    world.attach_network(switch)
-    for host in ("server-ecu", "client-ecu"):
-        platform = world.add_platform(host, MINNOWBOARD)
-        nic = NetworkInterface(platform, switch)
-        SdDaemon(platform, nic)
+    world = build_world(
+        seed, [("server-ecu", MINNOWBOARD), ("client-ecu", MINNOWBOARD)]
+    )
 
     observed: dict[str, int] = {}
 
@@ -274,22 +282,25 @@ def figure3_sequence(seed: int = 0) -> Figure3Result:
 # ---------------------------------------------------------------------------
 
 
-class BrakeSpecError(ValueError):
-    """A brake figure was handed a spec of another app."""
+class FigureSpecError(ValueError):
+    """A figure was handed a spec of another app."""
 
 
-def _brake_spec(
-    spec: ScenarioSpec | None, variant: str, seeds: int, n_frames: int
+def _app_spec(
+    spec: ScenarioSpec | None, app: str, variant: str, seeds: int, scenario=None
 ) -> ScenarioSpec:
-    """*spec* as a brake figure's *variant*; ``None`` is the paper default.
+    """*spec* as an *app* figure's *variant*; ``None`` is the paper default.
 
-    The one place that rejects other apps' specs.
+    The default sweeps seeds ``0..seeds-1`` of *scenario* (the app's
+    default scenario when ``None``).  The one place that rejects other
+    apps' specs.
     """
     if spec is None:
-        scenario = BrakeScenario(n_frames=n_frames)
-        return ScenarioSpec(variant=variant, seeds=range(seeds), scenario=scenario)
-    if spec.app != "brake":
-        raise BrakeSpecError(f"a brake figure cannot run app {spec.app!r}")
+        return ScenarioSpec(
+            app=app, variant=variant, seeds=range(seeds), scenario=scenario
+        )
+    if spec.app != app:
+        raise FigureSpecError(f"a {app} figure cannot run app {spec.app!r}")
     return replace(spec, variant=variant)
 
 
@@ -379,7 +390,7 @@ def figure5(
     Sweeps the stock variant of *spec* over its seeds; the default is
     20 seeds x 2000 frames.
     """
-    spec = _brake_spec(spec, "nondet", seeds=20, n_frames=2_000)
+    spec = _app_spec(spec, "brake", "nondet", 20, BrakeScenario(n_frames=2_000))
     runs = (sweep or SweepRunner()).run_spec(spec).values()
     return Figure5Result(runs, spec.effective_scenario().n_frames)
 
@@ -433,7 +444,7 @@ def det_case_study(
     the same spec with a deterministic camera and at most 200 frames.
     """
     sweep = sweep or SweepRunner()
-    spec = _brake_spec(spec, "det", seeds=5, n_frames=500)
+    spec = _app_spec(spec, "brake", "det", 5, BrakeScenario(n_frames=500))
     scenario = spec.effective_scenario()
     n_frames = scenario.n_frames
     runs = sweep.run_spec(spec).values()
@@ -524,7 +535,7 @@ def tradeoff(
     """
     if deadlines_ns is None:
         deadlines_ns = [10 * MS, 15 * MS, 18 * MS, 22 * MS, 25 * MS, 35 * MS]
-    spec = _brake_spec(spec, "det", seeds=1, n_frames=300)
+    spec = _app_spec(spec, "brake", "det", 1, BrakeScenario(n_frames=300))
     n_frames = spec.effective_scenario().n_frames
     overrides = [
         dict(preprocessing_deadline_ns=d, computer_vision_deadline_ns=d)
@@ -571,32 +582,38 @@ class AblationResult:
 
 
 def ablation_sources(
-    seeds_per_config: int = 25, sweep: SweepRunner | None = None
+    spec: ScenarioSpec | None = None, sweep: SweepRunner | None = None
 ) -> AblationResult:
-    """Toggle each source of nondeterminism individually."""
+    """Toggle each source of nondeterminism individually.
+
+    Every row sweeps the stock variant of *spec* (default 25 seeds) with
+    the row's sources set on its scenario and network: source 1 is the
+    server's thread-per-invocation processing mode, source 2 a second
+    client, source 3 unordered transport over the counter's LAN.
+    """
     sweep = sweep or SweepRunner()
-    single = MethodCallProcessingMode.EVENT_SINGLE_THREAD
+    spec = _app_spec(spec, "counter", "nondet", seeds=25)
+    event = MethodCallProcessingMode.EVENT.value
+    single = MethodCallProcessingMode.EVENT_SINGLE_THREAD.value
+    fifo = replace(spec.network, in_order=True)
+    unordered = replace(
+        spec.network,
+        latency=spec.network.latency or counter.COUNTER_LATENCY,
+        in_order=False,
+    )
     configurations = [
-        ("source 1 on: thread-per-invocation", dict()),
-        ("sources off: serialized + FIFO", dict(processing_mode=single)),
-        (
-            "source 3 on: unordered transport",
-            dict(processing_mode=single, in_order=False),
-        ),
-        (
-            "source 2 on: second client",
-            dict(processing_mode=single, two_clients=True),
-        ),
+        ("source 1 on: thread-per-invocation", event, False, fifo),
+        ("sources off: serialized + FIFO", single, False, fifo),
+        ("source 3 on: unordered transport", single, False, unordered),
+        ("source 2 on: second client", single, True, fifo),
     ]
     rows = []
-    for label, kwargs in configurations:
-        runs = sweep.map(
-            partial(counter.run_variant, **kwargs),
-            range(seeds_per_config),
-            name="ablation",
-            params={"config": label},
+    for label, mode, two_clients, network in configurations:
+        scenario = replace(
+            spec.scenario, processing_mode=mode, two_clients=two_clients
         )
-        rows.append((label, Counter(run.printed_value for run in runs)))
+        runs = sweep.run_spec(replace(spec, scenario=scenario, network=network))
+        rows.append((label, _printed_counts(runs.values())))
     return AblationResult(rows)
 
 
@@ -647,7 +664,7 @@ def overhead(
     frames).
     """
     sweep = sweep or SweepRunner()
-    spec = _brake_spec(spec, "det", seeds=1, n_frames=400)
+    spec = _app_spec(spec, "brake", "det", 1, BrakeScenario(n_frames=400))
     spec = spec.with_seeds(spec.seeds[:1])
     n_frames = spec.effective_scenario().n_frames
     (stock,) = sweep.run_spec(replace(spec, variant="nondet")).values()
@@ -778,7 +795,7 @@ def let_baseline(
     at most 300 frames long.
     """
     sweep = sweep or SweepRunner()
-    spec = _brake_spec(spec, "det", seeds=3, n_frames=300)
+    spec = _app_spec(spec, "brake", "det", 3, BrakeScenario(n_frames=300))
     n_frames = spec.effective_scenario().n_frames
     outcomes = sweep.map(
         partial(_let_run, n_frames=n_frames),
@@ -839,7 +856,7 @@ def distributed(
     """
     if configurations is None:
         configurations = [(0, 0), (15 * MS, 0), (20 * MS, 25 * MS)]
-    spec = _brake_spec(spec, "det", seeds=1, n_frames=200)
+    spec = _app_spec(spec, "brake", "det", 1, BrakeScenario(n_frames=200))
     overrides = [
         dict(distributed=True, processing_clock_skew_ns=skew, clock_error_ns=error)
         for skew, error in configurations

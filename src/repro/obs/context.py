@@ -18,14 +18,19 @@ observed and unobserved runs (asserted by ``tests/test_obs.py``).
 
 :func:`capture` installs a fresh :class:`Observation` for the duration
 of a ``with`` block (re-entrant: the previous handle is restored on
-exit).  Sweep workers run one seed per process, so a process-global
-handle is safe; :func:`repro.harness.config.observe_spec`, the one
-observed-run path of the harness, calls :func:`capture` *inside* the
-worker.
+exit).  The handle is process-global — a per-thread one would cost
+every site a lookup — so an observation belongs to the thread that
+installed it, and :func:`capture` raises while another thread holds
+one: two threads observing at once would record into each other's
+runs.  Sweep processes run one seed at a time, and the sweep-service
+worker serializes its observed jobs behind one lock;
+:func:`repro.harness.config.observe_spec`, the one observed-run path of
+the harness, calls :func:`capture` *inside* the worker.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 from typing import Any, Iterator
@@ -79,6 +84,9 @@ class NullObservation:
 
 #: The process-wide observation handle read by every instrumented site.
 ACTIVE: Observation | NullObservation = NullObservation()
+#: Ident of the thread whose observation :data:`ACTIVE` is, if any.
+_owner: int | None = None
+_owner_lock = threading.Lock()
 
 
 def active() -> Observation | NullObservation:
@@ -95,13 +103,22 @@ def capture(
     Yields the (fresh or supplied) :class:`Observation`; the previously
     active handle — usually the disabled null object — is restored on
     exit, even on error.  ``flows=True`` additionally activates causal
-    flow tracing (ignored when *observation* is supplied).
+    flow tracing (ignored when *observation* is supplied).  Raises
+    :class:`RuntimeError` while another thread's observation is active.
     """
-    global ACTIVE
+    global ACTIVE, _owner
     observation = observation or Observation(flows=flows)
-    previous = ACTIVE
-    ACTIVE = observation
+    me = threading.get_ident()
+    with _owner_lock:
+        if _owner is not None and _owner != me:
+            raise RuntimeError(
+                "another thread holds the active observation; observed "
+                "runs in one process must not overlap across threads"
+            )
+        previous, previous_owner = ACTIVE, _owner
+        ACTIVE, _owner = observation, me
     try:
         yield observation
     finally:
-        ACTIVE = previous
+        with _owner_lock:
+            ACTIVE, _owner = previous, previous_owner

@@ -21,6 +21,7 @@ import socket
 import threading
 import time
 import traceback
+from contextlib import nullcontext
 from typing import Any, Callable
 
 try:
@@ -35,6 +36,12 @@ from repro.obs import fleet
 __all__ = ["Worker", "execute_job"]
 
 log = logging.getLogger("repro.service.worker")
+
+#: Observed jobs run one at a time per process: the observation handle
+#: is process-global (see :mod:`repro.obs.context`), so two observed
+#: seeds on two worker threads would record into each other's metrics.
+#: Unobserved jobs never take it.
+_OBSERVED_JOBS = threading.Lock()
 
 
 def _rusage() -> tuple[float, int]:
@@ -52,10 +59,12 @@ def execute_job(job: dict, runner: SweepRunner | None = None) -> list[dict]:
     The chunk spec is the campaign spec re-seeded with the job's seeds,
     so the execution path — and therefore every byte of every per-seed
     result — is exactly what ``SweepRunner.run_spec`` produces locally.
+    Observed specs run behind :data:`_OBSERVED_JOBS`.
     """
     spec = ScenarioSpec.from_dict(job["spec"]).with_seeds(job["seeds"])
     runner = runner or SweepRunner(workers=1, use_cache=False)
-    result = runner.run_spec(spec)
+    with _OBSERVED_JOBS if spec.observe else nullcontext():
+        result = runner.run_spec(spec)
     outcomes = []
     for outcome in result.outcomes:
         if outcome.ok:

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -350,3 +351,118 @@ class TestFaults:
         assert "faults" in json.loads(trace.read_text())["otherData"]["tracks"]
         counters = json.loads(metrics.read_text())["metrics"]["counters"]
         assert counters["faults.drop"] > 0
+
+
+@pytest.fixture
+def counter_spec_6(tmp_path):
+    """A saved counter spec of seeds 10..15."""
+    from repro.harness import ScenarioSpec
+
+    path = tmp_path / "counter6.json"
+    ScenarioSpec(app="counter", variant="nondet", seeds=range(10, 16)).save(path)
+    return str(path)
+
+
+def _histogram(out: str, title: str) -> dict[int, float]:
+    """The value -> probability rows of the histogram titled *title*."""
+    lines = out.split(title, 1)[1].splitlines()[1:]
+    rows = {}
+    for line in lines:
+        if not line.strip():
+            break
+        value, rest = line.split(":", 1)
+        rows[int(value)] = float(rest.split("|")[0])
+    return rows
+
+
+class TestCounterFigures:
+    """``fig1`` and ``ablation`` run the counter app from one spec."""
+
+    SWEEP = ["--workers", "1", "--no-cache"]
+
+    def test_fig1_spec_gives_a_six_run_histogram(self, counter_spec_6, capsys):
+        assert main(["fig1", "--spec", counter_spec_6, *self.SWEEP]) == 0
+        captured = capsys.readouterr()
+        stock = _histogram(captured.out, "stock AP (probability):")
+        assert sum(stock.values()) == pytest.approx(1.0, abs=0.01)
+        for probability in stock.values():
+            assert probability * 6 == pytest.approx(round(probability * 6), abs=0.01)
+        # Six stock seeds plus the DEAR contrast on the same six.
+        assert "sweep: 12 seeds" in captured.err
+
+    def test_ablation_spec_sets_the_seeds_per_row(self, counter_spec_6, capsys):
+        assert main(["ablation", "--spec", counter_spec_6, *self.SWEEP]) == 0
+        captured = capsys.readouterr()
+        assert "sweep: 24 seeds" in captured.err
+        rows = [line for line in captured.out.splitlines() if " on: " in line]
+        rows.append(next(line for line in captured.out.splitlines() if "off:" in line))
+        assert len(rows) == 4
+        for row in rows:
+            counts = re.findall(r"\b(\d+):(\d+)\b", row)
+            assert sum(int(count) for _, count in counts) == 6, row
+
+    @pytest.mark.parametrize("command", ["fig1", "ablation"])
+    def test_brake_spec_exits_with_a_message(self, brake_spec_80, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--spec", brake_spec_80, *self.SWEEP])
+        assert isinstance(excinfo.value.code, str)
+        assert "'brake'" in excinfo.value.code
+        assert command in excinfo.value.code
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [("fig1", "--trace-out"), ("ablation", "--metrics-out")],
+    )
+    def test_exports_observe_the_counter(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "export.json"
+        assert main([command, "--seeds", "3", *self.SWEEP, flag, str(out)]) == 0
+        assert "observed counter nondet, seed 0" in capsys.readouterr().err
+        assert out.exists()
+
+    @pytest.mark.parametrize("command", ["fig3", "skew", "scaling", "native"])
+    @pytest.mark.parametrize("flag", ["--trace-out", "--metrics-out"])
+    def test_specless_commands_refuse_exports(self, tmp_path, command, flag):
+        out = tmp_path / "export.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *self.SWEEP, flag, str(out)])
+        assert isinstance(excinfo.value.code, str)
+        assert command in excinfo.value.code
+        assert "\n" not in excinfo.value.code
+        assert not out.exists()
+
+
+#: Every subcommand that takes ``--app``, run on the counter: the exit
+#: code, or the message it must exit with.
+APP_COUNTER_RUNS = {
+    "trace": (["trace", "det", "--trace-out", "{tmp}/trace.json"], 0),
+    "metrics": (["metrics", "nondet", "--seeds", "2"], 0),
+    "flows": (["flows", "--seeds", "2", "--frames", "2"], 0),
+    "faults": (["faults", "--seeds", "2"], "has no seed-fixed inputs"),
+    "explore": (["explore", "--budget", "3", "--frames", "4"], 0),
+}
+
+
+class TestAppCounter:
+    """``--app counter`` runs, or exits 1 with a message, everywhere."""
+
+    def test_every_app_subcommand_is_covered(self):
+        (subparsers,) = build_parser()._subparsers._group_actions
+        takes_app = {
+            name
+            for name, sub in subparsers.choices.items()
+            if any("--app" in action.option_strings for action in sub._actions)
+        }
+        assert takes_app == set(APP_COUNTER_RUNS)
+
+    @pytest.mark.parametrize("command", sorted(APP_COUNTER_RUNS))
+    def test_counter_runs_or_exits_with_a_message(self, tmp_path, command):
+        argv, expected = APP_COUNTER_RUNS[command]
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        argv += ["--app", "counter", "--workers", "1", "--no-cache"]
+        if isinstance(expected, int):
+            assert main(argv) == expected
+            return
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert isinstance(excinfo.value.code, str)
+        assert expected in excinfo.value.code

@@ -7,8 +7,13 @@ import pytest
 from repro.apps.brake import BrakeScenario
 from repro.faults import FaultPlan
 from repro.harness import ScenarioSpec, SweepRunner, env_int
+from repro.harness.extensions import (
+    clock_skew_sweep,
+    native_transport_comparison,
+    pipeline_scaling,
+)
 from repro.harness.figures import (
-    BrakeSpecError,
+    FigureSpecError,
     ablation_sources,
     det_case_study,
     distributed,
@@ -67,7 +72,7 @@ class TestFigureDriversSmall:
     """Each driver at miniature scale: structure + render sanity."""
 
     def test_figure1(self):
-        result = figure1(nondet_seeds=8, det_seeds=2)
+        result = figure1(ScenarioSpec(app="counter", seeds=range(8)))
         assert sum(result.nondet_counts.values()) == 8
         assert set(result.det_counts) == {3}
         assert "Figure 1" in result.render()
@@ -100,7 +105,7 @@ class TestFigureDriversSmall:
         assert "trade-off" in result.render()
 
     def test_ablation(self):
-        result = ablation_sources(seeds_per_config=6)
+        result = ablation_sources(ScenarioSpec(app="counter", seeds=range(6)))
         by_label = dict(result.rows)
         assert set(by_label["sources off: serialized + FIFO"]) == {3}
         assert "sources of nondeterminism" in result.render()
@@ -150,5 +155,33 @@ class TestBrakeFigureSpecs:
         [figure5, det_case_study, tradeoff, overhead, let_baseline, distributed],
     )
     def test_library_app_spec_is_rejected(self, driver):
-        with pytest.raises(BrakeSpecError, match="'fusion'"):
+        with pytest.raises(FigureSpecError, match="'fusion'"):
             driver(ScenarioSpec(app="fusion"), sweep=SweepRunner(**self.SWEEP))
+
+
+class TestExtensionResults:
+    """The extension drivers' published numbers, pinned."""
+
+    SWEEP = dict(workers=1, use_cache=False)
+
+    def test_clock_skew_sweep(self):
+        result = clock_skew_sweep(sweep=SweepRunner(**self.SWEEP))
+        assert [p.stp_violations for p in result.points] == [0, 12, 0, 12, 0]
+        assert all(p.delivered == result.count == 12 for p in result.points)
+        assert all(p.in_order for p in result.points)
+
+    def test_pipeline_scaling(self):
+        result = pipeline_scaling(sweep=SweepRunner(**self.SWEEP))
+        assert [p.depth for p in result.points] == [1, 2, 4, 6]
+        assert [p.logical_latency_ns for p in result.points] == [
+            10 * MS, 20 * MS, 40 * MS, 60 * MS
+        ]
+        assert result.hop_cost_ns == 10 * MS
+        for point in result.points:
+            assert point.logical_latency_ns == point.expected_ns
+            assert point.expected_ns == point.depth * result.hop_cost_ns
+
+    def test_native_transport(self):
+        result = native_transport_comparison(sweep=SweepRunner(**self.SWEEP))
+        assert (result.trailer_bytes, result.native_bytes) == (52, 44)
+        assert result.behaviour_identical

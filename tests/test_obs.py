@@ -10,6 +10,7 @@ exploration schedules.
 """
 
 import json
+import threading
 
 import pytest
 
@@ -165,6 +166,28 @@ class TestContextAndBus:
             with obs.capture():
                 raise RuntimeError("boom")
         assert obs_context.ACTIVE is before
+
+    def test_capture_refuses_a_second_thread(self):
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with obs.capture():
+                held.set()
+                release.wait(10)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert held.wait(10)
+            with pytest.raises(RuntimeError, match="another thread"):
+                with obs.capture():
+                    pass
+        finally:
+            release.set()
+            holder.join()
+        with obs.capture() as observation:  # free again once released
+            assert obs_context.ACTIVE is observation
+        assert obs_context.ACTIVE.enabled is False
 
     def test_span_clamps_negative_duration(self):
         bus = obs.EventBus()

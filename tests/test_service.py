@@ -15,6 +15,7 @@ import sys
 import threading
 import time
 from contextlib import closing
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro.apps.brake.scenario import BrakeScenario
 from repro.faults import FaultPlan
 from repro.harness import ScenarioSpec, SweepRunner
+from repro.harness.config import run_scenario_spec
 from repro.harness.sweep import _encode_value
 from repro.service import (
     Coordinator,
@@ -398,6 +400,19 @@ class TestDistributedEqualsLocal:
         with LocalService(store_dir, workers=2, config=config) as svc:
             values = svc.run_spec(spec, timeout_s=120.0)
         assert_byte_identical(values, reference)
+
+    def test_observed_campaign_metrics_match_local(self, tmp_path):
+        """Observed seeds on two worker threads keep their own metrics."""
+        spec = replace(make_spec(seeds=range(8), frames=30), observe=True)
+        with LocalService(tmp_path / "store", workers=2) as svc:
+            values = svc.run_spec(spec, timeout_s=120.0)
+        for seed, served in zip(spec.seeds, values):
+            local = run_scenario_spec(seed, spec)
+            for name in ("reactor.reactions", "net.frames_sent"):
+                assert (
+                    served.fault_summary["metrics"]["counters"][name]
+                    == local.fault_summary["metrics"]["counters"][name]
+                ), (seed, name)
 
     def test_resubmission_is_pure_cache_hit(self, tmp_path):
         spec = make_spec(seeds=(0, 1, 2, 3))
