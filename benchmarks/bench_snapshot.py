@@ -23,23 +23,24 @@ benchmark result.
 """
 
 import time
+from functools import partial
 
 import pytest
 
-from repro.apps.brake.nondet import run_nondet_brake_assistant
-from repro.explore import calibration_scenario, shrink_schedule
+from repro.explore import (
+    Explorer,
+    calibration_scenario,
+    run_schedule,
+    shrink_schedule,
+)
 from repro.explore.decisions import InterventionSchedule, PreemptionPoint
-from repro.explore.explorer import Explorer
-from repro.harness import env_int
-from repro.sim.rng import stream_hooks
+from repro.harness import ScenarioSpec, env_int
 from repro.snapshot import SNAPSHOTS_SUPPORTED, ScheduleDecisions, SnapshotEngine
 from repro.time import MS
 
 
-def _run_scratch(scenario, schedule):
-    controller = schedule.controller()
-    with stream_hooks(controller):
-        result = run_nondet_brake_assistant(schedule.base_seed, scenario)
+def _run_scratch(spec, schedule, checkpointer=None):
+    result, _controller = run_schedule(spec, schedule, checkpointer=checkpointer)
     return result.outcome_digest()
 
 
@@ -49,14 +50,8 @@ def test_snapshot(show, bench_json):
 
     frames = env_int("REPRO_SNAP_FRAMES", 150)
     runs = env_int("REPRO_SNAP_RUNS", 12)
-    scenario = calibration_scenario(frames)
-
-    # Horizon calibration: one plain baseline run.
-    baseline = InterventionSchedule(base_seed=0)
-    controller = baseline.controller()
-    with stream_hooks(controller):
-        run_nondet_brake_assistant(0, scenario)
-    horizon = controller._site
+    spec = ScenarioSpec(variant="nondet", scenario=calibration_scenario(frames))
+    horizon = Explorer(spec).horizon  # one plain baseline run
 
     # The campaign: an identical 3-point prefix ending at 0.8·horizon,
     # plus one distinct tail point per run in (0.8, 0.95)·horizon.
@@ -81,18 +76,13 @@ def test_snapshot(show, bench_json):
     engine = SnapshotEngine(write_ledger=False)
 
     def forked(schedule):
-        def run(checkpointer):
-            ctl = schedule.controller(checkpointer=checkpointer)
-            with stream_hooks(ctl):
-                result = run_nondet_brake_assistant(schedule.base_seed, scenario)
-            return result.outcome_digest()
-
+        run = partial(_run_scratch, spec, schedule)
         return engine.execute("bench", ScheduleDecisions(schedule), run)
 
     try:
         # Run 0 is the cold capture pass; warm runs 1..N-1 are timed.
         digest0 = forked(schedules[0])
-        assert digest0 == _run_scratch(scenario, schedules[0])
+        assert digest0 == _run_scratch(spec, schedules[0])
         capture_ns_mean = engine.stats.capture_ns_mean
 
         started = time.perf_counter()
@@ -102,7 +92,7 @@ def test_snapshot(show, bench_json):
         fork_ns_mean = engine.stats.fork_ns_mean
 
         started = time.perf_counter()
-        scratch_digests = [_run_scratch(scenario, s) for s in schedules[1:]]
+        scratch_digests = [_run_scratch(spec, s) for s in schedules[1:]]
         scratch_s = time.perf_counter() - started
 
         assert forked_digests == scratch_digests  # equivalence before speed
@@ -112,9 +102,7 @@ def test_snapshot(show, bench_json):
         # re-running the prefix.  Synthetic, deterministic predicate —
         # the failure "needs" the 2nd and 4th points.
         needed = {shared[1].site, schedules[0].preemptions[-1].site}
-        explorer = Explorer(
-            scenario=scenario, base_seed=0, strategy=None, snapshots=engine
-        )
+        explorer = Explorer(spec, snapshots=engine)
         before_total = engine.stats.total_decisions
         before_reused = engine.stats.reused_decisions
         before_hits = engine.stats.fork_hits

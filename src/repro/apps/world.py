@@ -27,19 +27,41 @@ from repro.time.duration import US
 __all__ = [
     "SEED_FIXED_SWITCH",
     "build_world",
+    "is_seed_fixed",
     "random_offset",
+    "seed_fixed",
     "spike",
     "transactor_config",
 ]
 
 #: The default network of a scenario that holds its inputs fixed across
-#: world seeds (brake's ``deterministic_camera``, the library's
-#: ``deterministic_inputs``): constant link latencies, so physical
-#: arrival times — and with them every physical-action tag — do not
-#: depend on the seed.
+#: world seeds (see :func:`seed_fixed`): constant link latencies, so
+#: physical arrival times — and with them every physical-action tag — do
+#: not depend on the seed.
 SEED_FIXED_SWITCH = SwitchConfig(
     latency=ConstantLatency(300 * US), loopback_latency=ConstantLatency(50 * US)
 )
+
+#: The scenario fields that hold an app's inputs fixed across world
+#: seeds: brake's ``deterministic_camera``, the library's
+#: ``deterministic_inputs``.  The counter has neither.
+_SEED_FIXED_FIELDS = ("deterministic_camera", "deterministic_inputs")
+
+
+def seed_fixed(scenario):
+    """*scenario* with its inputs held fixed across world seeds.
+
+    Raises :class:`ValueError` when the scenario has no such field.
+    """
+    for name in _SEED_FIXED_FIELDS:
+        if hasattr(scenario, name):
+            return replace(scenario, **{name: True})
+    raise ValueError(f"has no seed-fixed inputs ({' or '.join(_SEED_FIXED_FIELDS)})")
+
+
+def is_seed_fixed(scenario) -> bool:
+    """Whether *scenario* holds its inputs fixed across world seeds."""
+    return any(getattr(scenario, name, False) for name in _SEED_FIXED_FIELDS)
 
 
 def build_world(

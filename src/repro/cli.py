@@ -684,51 +684,32 @@ def _run_one(name: str, args: argparse.Namespace, sweep):
     return driver(spec, sweep=sweep).render(), spec
 
 
-def _explore_scenario(app: str, frames: int, deterministic: bool = False):
-    """The scenario explore/replay runs: hazard-prone and small.
+def _replay_trace(args: argparse.Namespace):
+    """``repro explore --replay FILE``: re-execute a recorded trace.
 
-    Brake uses its calibration scenario (tightened to provoke failures);
-    other apps' scenarios are hazard-prone by construction and just get
-    the frame count applied.  *deterministic* selects the DEAR-friendly
-    camera for brake and seed-fixed inputs for the library apps; an app
-    without them (the counter) has nothing for ``--verify`` to hold fixed.
+    Re-runs the spec the trace recorded, fault plan included.  Returns
+    ``(exit code, spec)``.
     """
-    from dataclasses import replace
-
-    from repro import apps
-    from repro.explore import calibration_scenario
-
-    if app == "brake":
-        return calibration_scenario(frames, deterministic_camera=deterministic)
-    scenario = replace(apps.get(app).default_scenario(), n_frames=frames)
-    if not deterministic:
-        return scenario
-    if not hasattr(scenario, "deterministic_inputs"):
-        raise SystemExit(
-            f"explore --verify: app {app!r} has no seed-fixed inputs "
-            "(deterministic_inputs) to verify DEAR determinism under"
-        )
-    return replace(scenario, deterministic_inputs=True)
-
-
-def _replay_trace(args: argparse.Namespace) -> int:
-    """``repro explore --replay FILE``: re-execute a recorded trace."""
-    from repro import apps
     from repro.explore import ScheduleReplayer
     from repro.explore.decisions import DecisionTrace
+    from repro.harness.config import ScenarioSpec, run_scenario_spec
     from repro.sim.rng import stream_hooks
 
     trace = DecisionTrace.load(args.replay)
-    app = trace.params.get("app", getattr(args, "app", "brake"))
-    frames = trace.params.get("frames", args.frames)
-    scenario = _explore_scenario(app, frames)
+    if "spec" not in trace.params:
+        raise SystemExit(
+            f"explore --replay: {args.replay} records no spec to re-run "
+            "(record it again with explore --record)"
+        )
+    spec = ScenarioSpec.from_dict(trace.params["spec"])
     replayer = ScheduleReplayer(trace)
     with stream_hooks(replayer):
-        result = apps.get(app).runner("nondet")(trace.base_seed, scenario)
+        result = run_scenario_spec(trace.base_seed, spec)
     errors = result.errors.as_dict()
     print(
         f"replay: {replayer.consumed}/{len(trace.records)} recorded "
-        f"decisions consumed (seed {trace.base_seed}, {frames} frames)"
+        f"decisions consumed (seed {trace.base_seed}, "
+        f"{spec.scenario.n_frames} frames)"
     )
     expected = trace.params.get("errors")
     if expected is not None and errors != expected:
@@ -736,51 +717,66 @@ def _replay_trace(args: argparse.Namespace) -> int:
             "replay: error counters DIVERGED\n"
             f"  expected: {expected}\n  got:      {errors}"
         )
-        return 1
+        return 1, spec
     nonzero = {name: count for name, count in errors.items() if count}
     print(f"replay: errors reproduced: {nonzero or 'none'}")
-    return 0
+    return 0, spec
 
 
 def _run_explore(args: argparse.Namespace, sweep) -> int:
-    """``repro explore``: search, then optionally shrink/record/verify."""
-    from repro.explore import PctStrategy, RandomSweepStrategy
+    """``repro explore``: search, then optionally shrink/record/verify.
+
+    Searches the stock variant of ``_cli_spec`` (brake without
+    ``--spec``: its calibration scenario at ``--frames``) from the
+    spec's first seed; ``--verify`` checks the spec's DEAR variant with
+    seed-fixed inputs.  ``--trace-out``/``--metrics-out`` observe the
+    explored spec's first seed.
+    """
+    from dataclasses import replace
+
+    from repro.explore import PctStrategy, RandomSweepStrategy, calibration_scenario
     from repro.time import MS
 
     if args.replay:
-        return _replay_trace(args)
-
-    if args.strategy == "pct":
-        strategy = PctStrategy(
-            depth=args.depth,
-            preempt_ns=int(args.max_preempt_ms * MS),
-            seed=args.seed,
-        )
+        code, spec = _replay_trace(args)
     else:
-        strategy = RandomSweepStrategy()
-    engine = None
-    if args.snapshot:
-        from repro.snapshot import SNAPSHOTS_SUPPORTED, SnapshotEngine
+        spec = _cli_spec(args, "nondet")
+        if spec.app == "brake" and not args.spec:
+            spec = replace(spec, scenario=calibration_scenario(args.frames))
+        if args.strategy == "pct":
+            strategy = PctStrategy(
+                depth=args.depth,
+                preempt_ns=int(args.max_preempt_ms * MS),
+                seed=spec.seeds[0],
+            )
+        else:
+            strategy = RandomSweepStrategy()
+        engine = None
+        if args.snapshot:
+            from repro.snapshot import SNAPSHOTS_SUPPORTED, SnapshotEngine
 
-        if SNAPSHOTS_SUPPORTED:
-            engine = SnapshotEngine()
-    try:
-        return _run_explore_inner(args, sweep, strategy, engine)
-    finally:
-        if engine is not None:
-            engine.close()
-            print(engine.stats.describe(), file=sys.stderr)
+            if SNAPSHOTS_SUPPORTED:
+                engine = SnapshotEngine()
+        try:
+            code = _explore_spec(args, spec, sweep, strategy, engine)
+        finally:
+            if engine is not None:
+                engine.close()
+                print(engine.stats.describe(), file=sys.stderr)
+    _observe(args, _with_frames(spec, min(spec.scenario.n_frames, 500)))
+    return code
 
 
-def _run_explore_inner(args, sweep, strategy, engine) -> int:
+def _explore_spec(args, spec, sweep, strategy, engine) -> int:
     import json
+    from dataclasses import replace
 
     from repro.analysis.report import (
         exploration_report,
         shrink_report,
         verification_report,
     )
-    from repro import apps
+    from repro.apps.world import seed_fixed
     from repro.explore import (
         IN_BUDGET_PREEMPT_NS,
         Explorer,
@@ -788,19 +784,17 @@ def _run_explore_inner(args, sweep, strategy, engine) -> int:
         shrink_schedule,
         verify_determinism,
     )
+    from repro.harness.report import provenance
 
-    app = getattr(args, "app", "brake")
-    definition = apps.get(app)
     if args.verify > 0:
-        det_scenario = _explore_scenario(app, args.frames, deterministic=True)
-    explorer = Explorer(
-        experiment=definition.runner("nondet"),
-        scenario=_explore_scenario(app, args.frames),
-        base_seed=args.seed,
-        strategy=strategy,
-        sweep=sweep,
-        snapshots=engine,
-    )
+        try:
+            det_spec = replace(spec, variant="det", scenario=seed_fixed(spec.scenario))
+        except ValueError as exc:
+            raise SystemExit(
+                f"explore --verify: app {spec.app!r} {exc} "
+                "to verify DEAR determinism under"
+            ) from None
+    explorer = Explorer(spec, strategy=strategy, sweep=sweep, snapshots=engine)
     result = explorer.explore(budget=args.budget)
     print(exploration_report(result))
 
@@ -817,8 +811,6 @@ def _run_explore_inner(args, sweep, strategy, engine) -> int:
 
     if result.found is not None and args.record:
         run_result, trace = explorer.record(schedule)
-        trace.params["app"] = app
-        trace.params["frames"] = args.frames
         trace.params["errors"] = run_result.errors.as_dict()
         trace.save(args.record)
         print(
@@ -828,10 +820,8 @@ def _run_explore_inner(args, sweep, strategy, engine) -> int:
 
     if args.schedule_out:
         artifact = {
-            "app": app,
-            "experiment": getattr(
-                explorer.experiment, "__name__", repr(explorer.experiment)
-            ),
+            "spec": spec.to_dict(),
+            "provenance": provenance(),
             "strategy": result.strategy,
             "budget": result.budget,
             "executions_used": result.executions_used,
@@ -852,26 +842,16 @@ def _run_explore_inner(args, sweep, strategy, engine) -> int:
 
     code = 0 if result.found is not None else 1
     if args.verify > 0:
-        det_horizon = Explorer(
-            experiment=definition.runner("det"),
-            scenario=det_scenario,
-            base_seed=args.seed,
-        ).horizon
+        base_seed = spec.seeds[0]
         in_budget = PctStrategy(
-            depth=args.depth, preempt_ns=IN_BUDGET_PREEMPT_NS, seed=args.seed + 9
+            depth=args.depth, preempt_ns=IN_BUDGET_PREEMPT_NS, seed=base_seed + 9
         )
+        det_horizon = Explorer(det_spec).horizon
         schedules = [
-            in_budget.schedule_for(index + 1, args.seed, det_horizon)
+            in_budget.schedule_for(index + 1, base_seed, det_horizon)
             for index in range(args.verify)
         ]
-        verification = verify_determinism(
-            schedules,
-            det_scenario,
-            base_seed=args.seed,
-            experiment=definition.runner("det"),
-            input_threads=definition.input_threads,
-            sweep=sweep,
-        )
+        verification = verify_determinism(det_spec, schedules, sweep=sweep)
         print(verification_report(verification))
         if not verification.ok:
             code = 1
@@ -1006,6 +986,7 @@ def _run_faults(args: argparse.Namespace, sweep) -> int:
     from dataclasses import replace
 
     from repro.analysis.report import render_table
+    from repro.apps.world import seed_fixed
     from repro.faults import FaultPlan
     from repro.harness.report import sweep_report
 
@@ -1015,19 +996,13 @@ def _run_faults(args: argparse.Namespace, sweep) -> int:
         # The cross-seed trace-identity check needs seed-fixed inputs:
         # the deterministic camera for brake, the library analogue
         # (calm hosts, constant latencies, no input jitter) otherwise.
-        deterministic_knob = (
-            "deterministic_camera" if app == "brake" else "deterministic_inputs"
-        )
-        if not hasattr(spec.scenario, deterministic_knob):
+        try:
+            scenario = seed_fixed(spec.scenario)
+        except ValueError as exc:
             raise SystemExit(
-                f"faults: app {app!r} has no seed-fixed inputs "
-                f"({deterministic_knob}) for the cross-seed trace check"
-            )
-        scenario = replace(
-            spec.scenario,
-            late_policy=args.late_policy,
-            **{deterministic_knob: True},
-        )
+                f"faults: app {app!r} {exc} for the cross-seed trace check"
+            ) from None
+        scenario = replace(scenario, late_policy=args.late_policy)
         label = "faults-det" if app == "brake" else f"faults-{app}-det"
         spec = replace(spec, scenario=scenario, label=label)
     plan = _faults_plan(args, app)
@@ -1620,9 +1595,6 @@ def main(argv: list[str] | None = None) -> int:
         "explore": _run_explore,
     }.get(args.command, _run_figures)
     code = runner(args, sweep)
-    if runner is _run_explore:
-        # Explore exports its app's DEAR variant at its frame count.
-        _observe(args, _with_frames(_cli_spec(args), min(args.frames, 500)))
     if sweep.stats.sweeps:
         print(sweep.stats.summary_line(), file=sys.stderr)
     return code

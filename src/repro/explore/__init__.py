@@ -12,8 +12,9 @@ package turns it into a correctness tool that *searches* it:
 * :mod:`repro.explore.strategies` — a PCT-style explorer (bounded
   preemption points, the timed analogue of priority-change points)
   alongside uniform-random seed sweeping;
-* :mod:`repro.explore.explorer` — the budgeted exploration loop, fanned
-  out over the :class:`repro.harness.sweep.SweepRunner` process pool;
+* :mod:`repro.explore.explorer` — the budgeted exploration loop over one
+  :class:`~repro.harness.config.ScenarioSpec`, fanned out over the
+  :class:`repro.harness.sweep.SweepRunner` process pool;
 * :mod:`repro.explore.shrink` — delta-debugging a failing schedule down
   to a minimal set of preemption points that still reproduces the bug;
 * :mod:`repro.explore.verify` — run the DEAR variant under explored
@@ -31,7 +32,12 @@ from repro.explore.decisions import (
     ScheduleReplayer,
     is_scheduler_stream,
 )
-from repro.explore.explorer import ExplorationResult, Explorer, frame_drop
+from repro.explore.explorer import (
+    ExplorationResult,
+    Explorer,
+    frame_drop,
+    run_schedule,
+)
 from repro.explore.scenarios import (
     IN_BUDGET_PREEMPT_NS,
     calibration_scenario,
@@ -52,6 +58,7 @@ __all__ = [
     "Explorer",
     "ExplorationResult",
     "frame_drop",
+    "run_schedule",
     "PctStrategy",
     "RandomSweepStrategy",
     "ShrinkResult",

@@ -1,14 +1,17 @@
 """The budgeted exploration loop.
 
-An :class:`Explorer` owns one target experiment (the stock brake
-assistant by default), a base seed, a scenario and a strategy.  It
-first *calibrates* — one baseline run counting the dispatch horizon —
-then evaluates schedules ``strategy.schedule_for(0..budget-1)`` until
-the failure predicate fires or the budget is exhausted.  Executions
-are independent, so they fan out over the
-:class:`repro.harness.sweep.SweepRunner` process pool in chunks (with
-early exit between chunks) and per-execution outcomes land in the
-sweep result cache like any other seeded experiment.
+An :class:`Explorer` owns one :class:`~repro.harness.config.ScenarioSpec`
+— the stock brake assistant on its calibration scenario, as ``repro
+explore`` builds it by default, or any registered app, scenario,
+network, topology and fault plan — and a strategy.  It first
+*calibrates* — one baseline run of the spec's first seed counting the
+dispatch horizon — then evaluates schedules
+``strategy.schedule_for(0..budget-1)`` until the failure predicate
+fires or the budget is exhausted.  Every execution is one
+:func:`run_schedule` call.  Executions are independent, so they fan out
+over the :class:`repro.harness.sweep.SweepRunner` process pool in
+chunks (with early exit between chunks) and per-execution outcomes land
+in the sweep result cache like any other seeded experiment.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable
 
-from repro.apps.brake.nondet import run_nondet_brake_assistant
 from repro.explore.decisions import (
     DecisionTrace,
     InterventionSchedule,
@@ -68,56 +70,80 @@ class ExplorationResult:
         return len(self.executions)
 
 
-def _summarize(result: Any, controller: Any) -> dict:
-    """Compact, picklable summary of one schedule evaluation."""
-    applied = [
-        {"site": p.site, "delay_ns": p.delay_ns, "thread": p.thread}
-        for p in controller.applied
-    ]
+def run_schedule(
+    spec: Any,
+    schedule: InterventionSchedule,
+    *,
+    checkpointer: Any = None,
+    exclude: tuple[str, ...] = (),
+    recorder: ScheduleRecorder | None = None,
+) -> tuple[Any, Any]:
+    """Run *spec* once under *schedule*: the body of every execution.
+
+    Explore, shrink, record and the determinism verifier all run
+    ``run_scenario_spec(schedule.base_seed, spec)`` here, under the
+    schedule's intervention controller.  *checkpointer* lets the
+    snapshot engine capture holders at planned sites, *exclude*
+    suppresses preemptions on matching threads and *recorder* (a
+    :class:`ScheduleRecorder`) records the effective decisions.
+    Returns ``(result, controller)``.
+    """
+    # deferred: repro.harness.config imports the fault injector, which
+    # imports this package's decision traces
+    from repro.harness.config import run_scenario_spec
+
+    controller = schedule.controller(exclude=exclude, checkpointer=checkpointer)
+    hooks = (controller,) if recorder is None else (controller, recorder)
+    with stream_hooks(*hooks):
+        result = run_scenario_spec(schedule.base_seed, spec)
+    return result, controller
+
+
+def _summary(spec: Any, schedule_data: dict, checkpointer: Any = None) -> dict:
+    """Picklable worker: one schedule's error counters and applied points."""
+    result, controller = run_schedule(
+        spec, InterventionSchedule.from_dict(schedule_data), checkpointer=checkpointer
+    )
     return {
         "errors_total": result.errors.total(),
         "errors": result.errors.as_dict(),
-        "applied": applied,
+        "applied": [
+            {"site": p.site, "delay_ns": p.delay_ns, "thread": p.thread}
+            for p in controller.applied
+        ],
     }
 
 
-def _run_summary(
-    execution: int,
-    experiment: Callable[..., Any],
-    scenario: Any,
-    strategy: Any,
-    base_seed: int,
-    horizon: int,
-) -> dict:
-    """Worker body: evaluate one schedule, return a compact summary."""
-    schedule = strategy.schedule_for(execution, base_seed, horizon)
-    controller = schedule.controller()
-    with stream_hooks(controller):
-        result = experiment(schedule.base_seed, scenario)
-    return _summarize(result, controller)
+def _annotated(schedule: InterventionSchedule, summary: dict) -> InterventionSchedule:
+    """*schedule* with the thread each preemption point actually hit."""
+    applied = {
+        p["site"]: PreemptionPoint(p["site"], p["delay_ns"], p["thread"])
+        for p in summary["applied"]
+    }
+    return schedule.with_points(
+        applied.get(point.site, point) for point in schedule.preemptions
+    )
 
 
 class Explorer:
-    """Search scheduler interleavings for a failure.
+    """Search scheduler interleavings of one :class:`ScenarioSpec` for a failure.
 
-    ``experiment`` must be a picklable ``(seed, scenario) -> result``
-    callable whose result exposes ``errors`` counters (both brake
-    assistant variants qualify).
+    Every execution runs ``run_scenario_spec(schedule.base_seed, spec)``
+    (see :func:`run_schedule`), so the spec's app, variant, scenario,
+    network, topology and fault plan all reach the search; schedules
+    start from the spec's first seed.  The result must expose
+    ``errors`` counters (every registered app's runners qualify).
     """
 
     def __init__(
         self,
-        experiment: Callable[..., Any] = run_nondet_brake_assistant,
-        scenario: Any = None,
-        base_seed: int = 0,
+        spec: Any,
         strategy: Any = None,
         sweep: SweepRunner | None = None,
         predicate: Callable[[ExecutionOutcome], bool] = frame_drop,
         snapshots: Any = None,
     ) -> None:
-        self.experiment = experiment
-        self.scenario = scenario
-        self.base_seed = base_seed
+        self.spec = spec
         self.strategy = strategy or PctStrategy()
         self.sweep = sweep or SweepRunner()
         self.predicate = predicate
@@ -129,73 +155,58 @@ class Explorer:
 
     # -- running one schedule ----------------------------------------------
 
-    def run_schedule(self, schedule: InterventionSchedule):
-        """Run the experiment once under *schedule* (in-process)."""
-        controller = schedule.controller()
-        with stream_hooks(controller):
-            result = self.experiment(schedule.base_seed, self.scenario)
-        return result, controller
+    def _engine(self):
+        """The snapshot engine when it can fork, else ``None``."""
+        engine = self.snapshots
+        return engine if engine is not None and engine.active else None
 
-    def _snapshot_context(self, base_seed: int) -> str:
-        """The engine context: everything outside the decision vector.
+    def _forked_job(self, schedule: InterventionSchedule):
+        """``(context, decisions, run)`` for the snapshot engine.
 
-        Includes the schedule's own base seed — two schedules with
-        different world seeds never share state, whatever their
-        preemption prefixes look like.
+        The context is everything outside the decision vector: the spec,
+        the schedule's own base seed (two schedules with different world
+        seeds never share state) and the code fingerprint.
         """
         from repro.harness.sweep import code_fingerprint
-        from repro.snapshot import context_key
+        from repro.snapshot import ScheduleDecisions, context_key
 
-        return context_key(
-            "explore",
-            getattr(self.experiment, "__name__", repr(self.experiment)),
-            repr(self.scenario),
-            base_seed,
-            code_fingerprint(),
+        context = context_key(
+            "explore", self.spec.to_json(), schedule.base_seed, code_fingerprint()
         )
+        run = partial(_summary, self.spec, schedule.to_dict())
+        return context, ScheduleDecisions(schedule), run
 
-    def run_schedule_forked(self, schedule: InterventionSchedule) -> dict:
-        """Evaluate *schedule* through the snapshot engine.
+    def evaluate(self, schedule: InterventionSchedule) -> dict:
+        """*schedule*'s summary: ``errors_total``, ``errors``, ``applied``.
 
-        Forks from the deepest holder whose captured decision prefix
-        matches the schedule (cold-running and capturing along the way
-        on a miss) and returns the same summary dict as the pooled
-        explore path.  Requires :attr:`snapshots`.
+        Forks from the deepest snapshot holder whose captured decision
+        prefix matches the schedule when the engine is active (cold-
+        running and capturing along the way on a miss), else runs in
+        process.
         """
-        from repro.snapshot import ScheduleDecisions
-
-        def run(checkpointer):
-            controller = schedule.controller(checkpointer=checkpointer)
-            with stream_hooks(controller):
-                result = self.experiment(schedule.base_seed, self.scenario)
-            return _summarize(result, controller)
-
-        return self.snapshots.execute(
-            self._snapshot_context(schedule.base_seed),
-            ScheduleDecisions(schedule),
-            run,
-        )
+        engine = self._engine()
+        if engine is not None:
+            return engine.execute(*self._forked_job(schedule))
+        return _summary(self.spec, schedule.to_dict())
 
     def annotate(self, schedule: InterventionSchedule) -> InterventionSchedule:
-        """Resolve which thread each preemption point actually hit."""
-        _result, controller = self.run_schedule(schedule)
-        applied = {point.site: point for point in controller.applied}
-        return schedule.with_points(
-            applied.get(point.site, point) for point in schedule.preemptions
-        )
+        """Resolve which thread each preemption point actually hit (in process)."""
+        return _annotated(schedule, _summary(self.spec, schedule.to_dict()))
 
     def record(
         self, schedule: InterventionSchedule
     ) -> tuple[Any, DecisionTrace]:
-        """Run *schedule* while recording the full decision trace."""
-        controller = schedule.controller()
+        """Run *schedule* while recording the full decision trace.
+
+        The trace's params carry the schedule and the spec, so a replay
+        re-runs exactly this spec, fault plan included.
+        """
         recorder = ScheduleRecorder(base_seed=schedule.base_seed)
-        with stream_hooks(controller, recorder):
-            result = self.experiment(schedule.base_seed, self.scenario)
-        recorder.trace.experiment = getattr(
-            self.experiment, "__name__", repr(self.experiment)
-        )
-        recorder.trace.params = {"schedule": schedule.to_dict()}
+        result, _controller = run_schedule(self.spec, schedule, recorder=recorder)
+        recorder.trace.params = {
+            "schedule": schedule.to_dict(),
+            "spec": self.spec.to_dict(),
+        }
         return result, recorder.trace
 
     # -- calibration --------------------------------------------------------
@@ -204,8 +215,8 @@ class Explorer:
     def horizon(self) -> int:
         """Dispatch count of the baseline run (preemption-site space)."""
         if self._horizon is None:
-            baseline = InterventionSchedule(base_seed=self.base_seed)
-            _result, controller = self.run_schedule(baseline)
+            baseline = InterventionSchedule(base_seed=self.spec.seeds[0])
+            _result, controller = run_schedule(self.spec, baseline)
             self._horizon = controller._site
         return self._horizon
 
@@ -214,84 +225,40 @@ class Explorer:
     def explore(self, budget: int = 40) -> ExplorationResult:
         """Evaluate up to *budget* schedules; stop at the first failure."""
         horizon = self.horizon
-        runner = partial(
-            _run_summary,
-            experiment=self.experiment,
-            scenario=self.scenario,
-            strategy=self.strategy,
-            base_seed=self.base_seed,
-            horizon=horizon,
-        )
-        params = {
-            "experiment": getattr(self.experiment, "__name__", repr(self.experiment)),
-            "scenario": repr(self.scenario),
-            "strategy": repr(self.strategy),
-            "base_seed": self.base_seed,
-            "horizon": horizon,
-        }
-        engine = self.snapshots
-        if engine is not None and not engine.active:
-            engine = None
-
-        def forked_job(index: int):
-            from repro.snapshot import ScheduleDecisions
-
-            schedule = self.strategy.schedule_for(index, self.base_seed, horizon)
-
-            def run(checkpointer):
-                controller = schedule.controller(checkpointer=checkpointer)
-                with stream_hooks(controller):
-                    result = self.experiment(schedule.base_seed, self.scenario)
-                return _summarize(result, controller)
-
-            return (
-                self._snapshot_context(schedule.base_seed),
-                ScheduleDecisions(schedule),
-                run,
-            )
-
+        engine = self._engine()
+        name = f"explore-{self.strategy.name}"
         outcomes: list[ExecutionOutcome] = []
         found: ExecutionOutcome | None = None
         chunk = max(self.sweep.workers, 4)
         for start in range(0, budget, chunk):
-            indices = list(range(start, min(start + chunk, budget)))
+            indices = range(start, min(start + chunk, budget))
+            schedules = [
+                self.strategy.schedule_for(index, self.spec.seeds[0], horizon)
+                for index in indices
+            ]
             if engine is not None:
                 batch = self.sweep.run_forked(
-                    engine,
-                    indices,
-                    forked_job,
-                    name=f"explore-{self.strategy.name}",
+                    engine, schedules, self._forked_job, name=name
                 )
             else:
                 batch = self.sweep.run(
-                    runner,
-                    indices,
-                    name=f"explore-{self.strategy.name}",
-                    params=params,
+                    partial(_summary, self.spec),
+                    [schedule.to_dict() for schedule in schedules],
+                    name=name,
+                    params={"spec": self.spec.to_dict()},
                 )
-            for index, seed_outcome in zip(indices, batch.outcomes):
-                schedule = self.strategy.schedule_for(
-                    index, self.base_seed, horizon
-                )
+            for index, schedule, seed_outcome in zip(
+                indices, schedules, batch.outcomes
+            ):
                 if not seed_outcome.ok:
                     outcome = ExecutionOutcome(
                         index, schedule, error=seed_outcome.error
                     )
                 else:
                     summary = seed_outcome.value
-                    applied = {
-                        p["site"]: PreemptionPoint(
-                            p["site"], p["delay_ns"], p.get("thread", "")
-                        )
-                        for p in summary["applied"]
-                    }
-                    schedule = schedule.with_points(
-                        applied.get(point.site, point)
-                        for point in schedule.preemptions
-                    )
                     outcome = ExecutionOutcome(
                         index,
-                        schedule,
+                        _annotated(schedule, summary),
                         errors_total=summary["errors_total"],
                         errors=dict(summary["errors"]),
                     )

@@ -90,7 +90,7 @@ def shrink_schedule(
     schedule: InterventionSchedule,
     predicate: Callable[[ExecutionOutcome], bool] | None = None,
 ) -> ShrinkResult:
-    """ddmin *schedule*'s preemption points under *explorer*'s experiment.
+    """ddmin *schedule*'s preemption points under *explorer*'s spec.
 
     *predicate* defaults to :func:`repro.explore.explorer.frame_drop`.
     Raises :class:`ValueError` if the full schedule does not reproduce
@@ -102,29 +102,19 @@ def shrink_schedule(
         predicate = frame_drop
     history: list[tuple[int, bool]] = []
     last_errors: dict[str, dict[str, int]] = {}
-    # Probes share long prefixes by construction (ddmin removes points,
-    # it never adds them), so when the explorer carries a snapshot
-    # engine, each probe forks from the deepest holder that matches its
-    # surviving prefix instead of replaying the whole run from t=0.
-    engine = getattr(explorer, "snapshots", None)
-    if engine is not None and not engine.active:
-        engine = None
 
     def reproduces(points: Sequence[PreemptionPoint]) -> bool:
+        # Probes share long prefixes by construction (ddmin removes
+        # points, it never adds them), so with an active snapshot engine
+        # each probe forks from the deepest holder that matches its
+        # surviving prefix instead of replaying the whole run from t=0.
         candidate = schedule.with_points(points)
-        if engine is not None:
-            summary = explorer.run_schedule_forked(candidate)
-            errors_total = summary["errors_total"]
-            errors = dict(summary["errors"])
-        else:
-            result, _controller = explorer.run_schedule(candidate)
-            errors_total = result.errors.total()
-            errors = result.errors.as_dict()
+        summary = explorer.evaluate(candidate)
         outcome = ExecutionOutcome(
             index=-1,
             schedule=candidate,
-            errors_total=errors_total,
-            errors=errors,
+            errors_total=summary["errors_total"],
+            errors=dict(summary["errors"]),
         )
         ok = predicate(outcome)
         history.append((len(points), ok))

@@ -3,8 +3,8 @@
 The paper's claim is not "the DEAR variant usually behaves"; it is
 that for *any* scheduling the observable behaviour is either identical
 or a flagged assumption violation.  This module checks exactly that:
-run the deterministic brake assistant under every schedule the
-explorer produced (plus the shrunk counterexample) and compare the
+run a spec's DEAR variant under every schedule the explorer produced
+(plus the shrunk counterexample) and compare the
 per-environment :meth:`~repro.reactors.telemetry.Trace.fingerprint`
 byte-for-byte against the unperturbed baseline.
 
@@ -20,12 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable
+from typing import Any
 
-from repro.apps.brake.det import run_det_brake_assistant
 from repro.explore.decisions import InterventionSchedule
+from repro.explore.explorer import run_schedule
 from repro.harness.sweep import SweepRunner
-from repro.sim.rng import stream_hooks
 
 
 @dataclass
@@ -78,17 +77,15 @@ class VerificationResult:
         return not self.silent_divergences
 
 
-def _run_verdict(
-    schedule_data: dict,
-    experiment: Callable[..., Any],
-    scenario: Any,
-    exclude: tuple[str, ...],
-) -> dict:
-    """Worker body: one DEAR run under one schedule."""
+def _verdict(spec: Any, schedule_data: dict) -> dict:
+    """Picklable worker: one run of *spec* under one schedule.
+
+    Preemptions landing on the app's input threads are suppressed.
+    """
     schedule = InterventionSchedule.from_dict(schedule_data)
-    controller = schedule.controller(exclude=exclude)
-    with stream_hooks(controller):
-        result = experiment(schedule.base_seed, scenario)
+    result, _controller = run_schedule(
+        spec, schedule, exclude=spec.definition().input_threads
+    )
     return {
         "label": schedule.label or schedule.describe(),
         "fingerprints": dict(result.trace_fingerprints),
@@ -99,30 +96,31 @@ def _run_verdict(
 
 
 def verify_determinism(
+    spec: Any,
     schedules: list[InterventionSchedule],
-    scenario: Any,
-    base_seed: int = 0,
-    experiment: Callable[..., Any] = run_det_brake_assistant,
     sweep: SweepRunner | None = None,
-    input_threads: tuple[str, ...] = ("camera",),
 ) -> VerificationResult:
-    """Run DEAR under every schedule; compare trace fingerprints.
+    """Run *spec* under every schedule; compare trace fingerprints.
 
-    The comparison is only meaningful when the *inputs* are held
-    fixed — the determinism claim is "same inputs ⇒ same trace", so
-    the verifier must vary scheduling and nothing else.  Two
-    normalisations enforce that:
+    *spec* is a DEAR variant with seed-fixed inputs (see
+    :func:`repro.apps.world.seed_fixed`).  The comparison is only
+    meaningful when the *inputs* are held fixed — the determinism claim
+    is "same inputs ⇒ same trace", so the verifier must vary scheduling
+    and nothing else.  Two normalisations enforce that:
 
-    * The reference is the unperturbed run of *base_seed*.  Schedules
-      whose ``base_seed`` differs would legitimately see different
-      event tags, so all schedules are re-anchored to *base_seed*.
-    * Preemptions that land on sensor/environment threads (names
-      matching *input_threads*) are suppressed: delaying a sensor
-      driver shifts when its physical action is scheduled, i.e. it
-      changes the input timeline, not the SUT's scheduling.
+    * The reference is the unperturbed run of the spec's first seed.
+      Schedules whose ``base_seed`` differs would legitimately see
+      different event tags, so all schedules are re-anchored to it.
+    * Preemptions that land on sensor/environment threads (the app's
+      ``input_threads``) are suppressed: delaying a sensor driver
+      shifts when its physical action is scheduled, i.e. it changes
+      the input timeline, not the SUT's scheduling.
     """
     sweep = sweep or SweepRunner()
-    reference_run = experiment(base_seed, scenario)
+    base_seed = spec.seeds[0]
+    reference_run, _controller = run_schedule(
+        spec, InterventionSchedule(base_seed=base_seed)
+    )
     reference = dict(reference_run.trace_fingerprints)
 
     anchored = [
@@ -134,20 +132,10 @@ def verify_determinism(
         for index, schedule in enumerate(schedules)
     ]
     rows = sweep.map(
-        partial(
-            _run_verdict,
-            experiment=experiment,
-            scenario=scenario,
-            exclude=tuple(input_threads),
-        ),
+        partial(_verdict, spec),
         [schedule.to_dict() for schedule in anchored],
         name="explore-verify-det",
-        params={
-            "experiment": getattr(experiment, "__name__", repr(experiment)),
-            "scenario": repr(scenario),
-            "base_seed": base_seed,
-            "input_threads": list(input_threads),
-        },
+        params={"spec": spec.to_dict()},
     )
     verdicts = [
         ScheduleVerdict(

@@ -186,15 +186,12 @@ class ScenarioSpec:
         The "is everything default" test compares against
         :class:`NetworkSpec`'s own defaults instead of repeating them.
         """
-        from repro.apps.world import SEED_FIXED_SWITCH
+        from repro.apps.world import SEED_FIXED_SWITCH, is_seed_fixed
 
         if self.network == NetworkSpec() and self.topology is None:
             return None
-        scenario = self.effective_scenario()
         default = SwitchConfig()
-        if getattr(scenario, "deterministic_camera", False) or getattr(
-            scenario, "deterministic_inputs", False
-        ):
+        if is_seed_fixed(self.scenario):
             default = SEED_FIXED_SWITCH
         return SwitchConfig(
             latency=self.network.latency or default.latency,

@@ -12,7 +12,15 @@ from typing import Any
 
 from repro.harness.sweep import code_fingerprint
 
-__all__ = ["sweep_report"]
+__all__ = ["provenance", "sweep_report"]
+
+
+def provenance() -> dict[str, str]:
+    """Which code and interpreter produced an artifact."""
+    return {
+        "code_fingerprint": code_fingerprint(),
+        "python": platform.python_version(),
+    }
 
 
 def sweep_report(
@@ -47,10 +55,7 @@ def sweep_report(
         "format": "sweep-report/v1",
         "spec": spec.to_dict(),
         "faults": None if plan is None else plan.to_dict(),
-        "provenance": {
-            "code_fingerprint": code_fingerprint(),
-            "python": platform.python_version(),
-        },
+        "provenance": provenance(),
         "variants": blocks,
     }
     if flows and {"det", "nondet"} <= blocks.keys():

@@ -38,6 +38,7 @@ import os
 import pickle
 import sqlite3
 import sys
+import tempfile
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -320,9 +321,11 @@ class ResultStore:
     Every call opens and closes its own connection, so one instance is
     safe across threads and no connection crosses a ``fork``.  The file
     is created by the first put; until then the store reads as empty.
-    A file that is not a database raises rather than reading as empty.
-    WAL needs shared memory, so every process using one store must run
-    on the same host.
+    It is switched to WAL once, under a temporary name, and hard-linked
+    into place, so racing creators never contend for the journal-mode
+    switch, which does not wait on the busy timeout.  A file that is not
+    a database raises rather than reading as empty.  WAL needs shared
+    memory, so every process using one store must run on the same host.
     """
 
     FILENAME = "results.sqlite"
@@ -404,6 +407,25 @@ class ResultStore:
 
     # -- writing -------------------------------------------------------------
 
+    def _create(self) -> None:
+        """Build an empty WAL-mode store file, then link it into place.
+
+        The first creator's link wins; a loser drops its copy.
+        """
+        self.directory.mkdir(parents=True, exist_ok=True)
+        fd, scratch = tempfile.mkstemp(
+            dir=self.directory, prefix=".results-", suffix=".sqlite"
+        )
+        os.close(fd)
+        try:
+            with closing(sqlite3.connect(scratch, isolation_level=None)) as db:
+                db.execute("PRAGMA journal_mode=WAL")
+            os.link(scratch, self.path)
+        except FileExistsError:
+            pass
+        finally:
+            os.unlink(scratch)
+
     @staticmethod
     def make_record(key: str, seed: Any, value: Any) -> dict:
         encoding, payload = _encode_value(value)
@@ -438,9 +460,9 @@ class ResultStore:
             )
             for record in records
         )
-        self.directory.mkdir(parents=True, exist_ok=True)
+        if not self.path.exists():
+            self._create()
         with closing(self._connect()) as db:
-            db.execute("PRAGMA journal_mode=WAL")
             db.execute("PRAGMA synchronous=FULL")
             db.execute("BEGIN IMMEDIATE")
             db.execute(self._SCHEMA)

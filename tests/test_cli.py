@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -83,6 +84,73 @@ class TestExplore:
             "--frames", "10", "--no-cache",
         ]) == 1
         assert "no failure" in capsys.readouterr().out
+
+    def test_spec_reaches_the_search_and_its_artifacts(
+        self, tmp_path, faulted_spec_7, capsys
+    ):
+        from repro.explore import Explorer
+        from repro.harness import ScenarioSpec
+
+        path, spec = faulted_spec_7
+        trace, artifact = tmp_path / "trace.json", tmp_path / "schedule.json"
+        metrics = tmp_path / "metrics.json"
+        assert main([
+            "explore", "--spec", path, "--budget", "4", "--workers", "1",
+            "--no-cache", "--record", str(trace),
+            "--schedule-out", str(artifact), "--metrics-out", str(metrics),
+        ]) == 0
+        document = json.loads(artifact.read_text())
+        assert document["schedule"]["base_seed"] == 7
+        horizon = Explorer(spec).horizon
+        assert document["horizon"] == horizon
+        # The fault plan ran: it changes the dispatch horizon.
+        assert horizon != Explorer(replace(spec, faults=None)).horizon
+        assert ScenarioSpec.from_dict(document["spec"]) == spec
+        assert len(document["provenance"]["code_fingerprint"]) == 16
+        # The export observes the explored spec's first seed.
+        assert "observed brake nondet, seed 7" in capsys.readouterr().err
+        counters = json.loads(metrics.read_text())["metrics"]["counters"]
+        assert counters["faults.drop"] > 0
+        assert counters["sched.dispatches"] == horizon
+        # The trace carries its spec, so the replay re-runs the plan.
+        assert json.loads(trace.read_text())["params"]["spec"] == spec.to_dict()
+        assert main(["explore", "--replay", str(trace), "--no-cache"]) == 0
+        assert "seed 7, 30 frames" in capsys.readouterr().out
+
+    def test_replay_of_a_trace_without_a_spec_exits(self, tmp_path):
+        from repro.explore import DecisionTrace
+
+        path = tmp_path / "trace.json"
+        DecisionTrace(base_seed=0, params={"app": "brake"}).save(path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["explore", "--replay", str(path), "--no-cache"])
+        assert "records no spec" in excinfo.value.code
+
+    def test_counter_verify_exits_with_a_message(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "explore", "--app", "counter", "--verify", "2",
+                "--budget", "1", "--frames", "4", "--no-cache",
+            ])
+        assert "has no seed-fixed inputs" in excinfo.value.code
+
+
+@pytest.fixture
+def faulted_spec_7(tmp_path):
+    """Seed 7 x 30 calibration frames under a 50 % camera drop plan."""
+    from repro.explore import calibration_scenario
+    from repro.faults import FaultPlan
+    from repro.harness import ScenarioSpec
+
+    spec = ScenarioSpec(
+        variant="nondet",
+        seeds=(7,),
+        scenario=calibration_scenario(30),
+        faults=FaultPlan.camera_faults(seed=1, drop=0.5, label="explore-spec"),
+    )
+    path = tmp_path / "faulted.json"
+    spec.save(path)
+    return str(path), spec
 
 
 class TestServiceCLI:

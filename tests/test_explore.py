@@ -34,9 +34,11 @@ from repro.explore import (
     ScheduleReplayer,
     calibration_scenario,
     is_scheduler_stream,
+    run_schedule,
     shrink_schedule,
     verify_determinism,
 )
+from repro.harness import ScenarioSpec
 from repro.harness.sweep import SweepRunner
 from repro.sim.rng import RngTree, stream_hooks
 
@@ -63,6 +65,15 @@ def _sweep():
 
 def _det_scenario(n_frames=30):
     return calibration_scenario(n_frames, deterministic_camera=True)
+
+
+def _spec(n_frames=50):
+    """The stock brake assistant on its calibration scenario, seed 0."""
+    return ScenarioSpec(variant="nondet", scenario=calibration_scenario(n_frames))
+
+
+def _det_spec():
+    return ScenarioSpec(variant="det", scenario=_det_scenario())
 
 
 class TestStreamHooks:
@@ -221,12 +232,10 @@ class TestInterventionSchedules:
 
 class TestExplorationSearch:
     def test_pct_beats_random_at_fixed_seeds(self):
-        scenario = calibration_scenario(50)
-        pct = Explorer(
-            scenario=scenario, strategy=PctStrategy(), sweep=_sweep()
-        ).explore(budget=40)
+        spec = _spec(50)
+        pct = Explorer(spec, strategy=PctStrategy(), sweep=_sweep()).explore(budget=40)
         random_sweep = Explorer(
-            scenario=scenario, strategy=RandomSweepStrategy(), sweep=_sweep()
+            spec, strategy=RandomSweepStrategy(), sweep=_sweep()
         ).explore(budget=40)
 
         assert pct.found is not None, "PCT must find a frame drop"
@@ -240,7 +249,7 @@ class TestExplorationSearch:
 
     def test_explorer_respects_budget(self):
         result = Explorer(
-            scenario=calibration_scenario(10),
+            _spec(10),
             strategy=PctStrategy(depth=0),  # baseline-only schedules
             sweep=_sweep(),
         ).explore(budget=3)
@@ -252,7 +261,7 @@ class TestShrink:
     @pytest.fixture(scope="class")
     def found(self):
         explorer = Explorer(
-            scenario=calibration_scenario(50),
+            _spec(50),
             strategy=PctStrategy(),
             sweep=_sweep(),
         )
@@ -268,12 +277,12 @@ class TestShrink:
         assert shrunk.errors and sum(shrunk.errors.values()) > 0
 
         # Still reproduces.
-        result, _ = explorer.run_schedule(minimal)
+        result, _ = run_schedule(explorer.spec, minimal)
         assert result.errors.total() > 0
         # 1-minimal: dropping any single remaining point loses the bug.
         for point in minimal.preemptions:
             rest = [p for p in minimal.preemptions if p != point]
-            result, _ = explorer.run_schedule(minimal.with_points(rest))
+            result, _ = run_schedule(explorer.spec, minimal.with_points(rest))
             assert result.errors.total() == 0, (
                 f"{point.describe()} is not needed for the failure"
             )
@@ -287,13 +296,13 @@ class TestShrink:
         replayer = ScheduleReplayer(trace)
         with stream_hooks(replayer):
             replayed = run_nondet_brake_assistant(
-                shrunk.minimal.base_seed, explorer.scenario
+                shrunk.minimal.base_seed, explorer.spec.scenario
             )
         assert replayed.errors.as_dict() == recorded_result.errors.as_dict()
         assert replayed.trace_fingerprints == recorded_result.trace_fingerprints
 
     def test_shrink_requires_a_reproducing_schedule(self):
-        explorer = Explorer(scenario=calibration_scenario(10), sweep=_sweep())
+        explorer = Explorer(_spec(10), sweep=_sweep())
         benign = InterventionSchedule(base_seed=0)
         with pytest.raises(ValueError):
             shrink_schedule(explorer, benign)
@@ -301,30 +310,26 @@ class TestShrink:
 
 class TestDeterminismVerification:
     def test_in_budget_schedules_are_fingerprint_identical_100_plus(self):
-        scenario = _det_scenario()
-        horizon = Explorer(
-            experiment=run_det_brake_assistant, scenario=scenario, sweep=_sweep()
-        ).horizon
+        spec = _det_spec()
+        horizon = Explorer(spec, sweep=_sweep()).horizon
         strategy = PctStrategy(preempt_ns=IN_BUDGET_PREEMPT_NS, seed=9)
         schedules = [
             strategy.schedule_for(index + 1, 0, horizon) for index in range(110)
         ]
-        result = verify_determinism(schedules, scenario, sweep=_sweep())
+        result = verify_determinism(spec, schedules, sweep=_sweep())
         assert result.schedules == 110
         assert result.identical == 110
         assert result.ok
         assert result.reference == REFERENCE_FINGERPRINTS
 
     def test_over_budget_divergence_is_always_flagged(self):
-        scenario = _det_scenario()
-        horizon = Explorer(
-            experiment=run_det_brake_assistant, scenario=scenario, sweep=_sweep()
-        ).horizon
+        spec = _det_spec()
+        horizon = Explorer(spec, sweep=_sweep()).horizon
         strategy = PctStrategy(seed=9)  # 25 ms preemptions: deadline-busting
         schedules = [
             strategy.schedule_for(index + 1, 0, horizon) for index in range(20)
         ]
-        result = verify_determinism(schedules, scenario, sweep=_sweep())
+        result = verify_determinism(spec, schedules, sweep=_sweep())
         assert result.silent_divergences == []
         assert result.ok
         # The big preemptions genuinely perturb runs — and every

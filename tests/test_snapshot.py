@@ -24,6 +24,7 @@ from repro.explore.decisions import (
     PreemptionPoint,
 )
 from repro.faults import FaultPlan
+from repro.harness import ScenarioSpec
 from repro.sim.rng import stream_hooks
 from repro.snapshot import (
     SNAPSHOTS_SUPPORTED,
@@ -261,9 +262,7 @@ def test_shrink_schedule_through_snapshots():
 
     def shrink(engine):
         explorer = Explorer(
-            scenario=_scenario("nondet"),
-            base_seed=0,
-            strategy=None,
+            ScenarioSpec(variant="nondet", scenario=_scenario("nondet")),
             snapshots=engine,
         )
         return shrink_schedule(explorer, schedule, predicate=predicate)
