@@ -32,7 +32,6 @@ from repro.obs.fleet import (
 from repro.service import (
     Coordinator,
     CoordinatorConfig,
-    LocalClient,
     LocalService,
     ResultStore,
     Worker,
@@ -58,20 +57,19 @@ def _queue_run(store_dir, queue_jobs, frames):
     coordinator = Coordinator(
         ResultStore(store_dir), CoordinatorConfig(chunk_size=1)
     )
-    client = LocalClient(coordinator)
     spec = ScenarioSpec(
         variant="det",
         seeds=tuple(range(queue_jobs)),
         scenario=BrakeScenario(n_frames=frames),
         label="bench-fleet-queue",
     )
-    status = client.submit(spec)
-    worker = Worker(client, poll_interval_s=0.001, execute=_stub_execute)
+    status = coordinator.submit(spec)
+    worker = Worker(coordinator, poll_interval_s=0.001, execute=_stub_execute)
     started = time.perf_counter()
     completed = worker.run(max_jobs=queue_jobs)
     wall = time.perf_counter() - started
     assert completed == queue_jobs
-    assert client.result(status["campaign"])["status"] == "done"
+    assert coordinator.result(status["campaign"])["status"] == "done"
     return wall, coordinator, status["campaign"]
 
 

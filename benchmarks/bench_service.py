@@ -31,7 +31,6 @@ from repro.harness import ScenarioSpec, SweepRunner, env_int
 from repro.service import (
     Coordinator,
     CoordinatorConfig,
-    LocalClient,
     LocalService,
     ResultStore,
     Worker,
@@ -86,20 +85,19 @@ def test_service(show, bench_json, tmp_path):
     # -- queue throughput (stub executor: pure coordinator overhead) ---------
     config = CoordinatorConfig(chunk_size=1)
     coordinator = Coordinator(ResultStore(tmp_path / "queue-bench"), config)
-    client = LocalClient(coordinator)
     spec = ScenarioSpec(
         variant="det",
         seeds=tuple(range(queue_jobs)),
         scenario=BrakeScenario(n_frames=frames),
         label="bench-queue",
     )
-    status = client.submit(spec)
-    worker = Worker(client, poll_interval_s=0.001, execute=_stub_execute)
+    status = coordinator.submit(spec)
+    worker = Worker(coordinator, poll_interval_s=0.001, execute=_stub_execute)
     started = time.perf_counter()
     completed = worker.run(max_jobs=queue_jobs)
     queue_wall = time.perf_counter() - started
     assert completed == queue_jobs
-    assert client.result(status["campaign"])["status"] == "done"
+    assert coordinator.result(status["campaign"])["status"] == "done"
 
     # -- a real campaign over loopback HTTP, checked against local -----------
     campaign_spec = ScenarioSpec(

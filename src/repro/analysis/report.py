@@ -103,9 +103,6 @@ def exploration_report(result) -> str:
         for point in schedule.preemptions:
             lines.append(f"    {point.describe()}")
         lines.append(f"  errors: {_errors_line(result.found.errors)}")
-    snapshots = getattr(result, "snapshots", None)
-    if snapshots is not None:
-        lines.append(f"  {snapshots.describe()}")
     return "\n".join(lines)
 
 

@@ -25,8 +25,9 @@ default: all cores) and cache per-seed results in one sqlite file,
 ``.repro_cache/results.sqlite`` (``--cache-dir``, ``REPRO_CACHE_DIR``),
 so repeated invocations only pay for what changed; a throughput summary
 (seeds/s, cache hits) is printed to stderr after each run.  ``repro
-serve`` keeps campaign results in the same kind of store under
-``--store-dir``.
+serve`` keeps campaign results in the same store (``--store-dir``
+relocates it), keyed the same way, so a seed a figure computed is a
+cache hit for a submitted campaign and the reverse.
 """
 
 from __future__ import annotations
@@ -204,10 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explore.add_argument(
         "--snapshot", action=argparse.BooleanOptionalAction, default=True,
-        help="fork executions from copy-on-write snapshots of shared "
-             "schedule prefixes instead of replaying from t=0 "
-             "(default: on; falls back to plain runs where os.fork is "
-             "unavailable)",
+        help="fork --shrink's probes from copy-on-write snapshots of "
+             "shared schedule prefixes instead of replaying from t=0 "
+             "(default: on; the search itself always runs on the sweep "
+             "pool; falls back to plain runs where os.fork is unavailable)",
     )
 
     faults = commands.add_parser(
@@ -363,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_int(serve, "--port", 8765, "bind port (0 = ephemeral)")
     serve.add_argument(
         "--store-dir", default=None, metavar="DIR",
-        help="shared content-addressed result store "
-             "(default: <REPRO_CACHE_DIR or .repro_cache>/service)",
+        help="shared content-addressed result store (default: the sweep "
+             "cache, REPRO_CACHE_DIR or .repro_cache)",
     )
     _add_int(
         serve, "--local-workers", 0,
@@ -752,7 +753,7 @@ def _run_explore(args: argparse.Namespace, sweep) -> int:
         else:
             strategy = RandomSweepStrategy()
         engine = None
-        if args.snapshot:
+        if args.snapshot and args.shrink:
             from repro.snapshot import SNAPSHOTS_SUPPORTED, SnapshotEngine
 
             if SNAPSHOTS_SUPPORTED:
@@ -1141,22 +1142,11 @@ def _run_flows(args: argparse.Namespace, sweep) -> int:
 def _run_serve(args: argparse.Namespace) -> int:
     """``repro serve``: coordinator + HTTP API (+ optional local workers)."""
     import os
-    import threading
 
-    from repro.obs import fleet
-    from repro.service import (
-        Coordinator,
-        CoordinatorConfig,
-        HttpClient,
-        ResultStore,
-        Worker,
-        serve,
-    )
+    from repro.harness.sweep import DEFAULT_CACHE_DIR
+    from repro.service import CoordinatorConfig, LocalService
 
-    fleet.enable_from_env()
-    store_dir = args.store_dir or os.path.join(
-        os.environ.get("REPRO_CACHE_DIR", ".repro_cache"), "service"
-    )
+    store_dir = args.store_dir or os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
     config = CoordinatorConfig(
         chunk_size=args.chunk_size,
         max_attempts=args.max_attempts,
@@ -1164,61 +1154,40 @@ def _run_serve(args: argparse.Namespace) -> int:
         job_timeout_s=args.job_timeout,
         retry_backoff_s=args.retry_backoff,
     )
-    coordinator = Coordinator(ResultStore(store_dir), config)
-    server = serve(coordinator, args.host, args.port)
+    service = LocalService(
+        store_dir, args.local_workers, config, host=args.host, port=args.port
+    )
     print(
-        f"sweep-service/v1 coordinator on {server.url} "
+        f"sweep-service/v1 coordinator on {service.url} "
         f"(store: {store_dir}, chunk {config.chunk_size}, "
         f"lease TTL {config.lease_ttl_s:g}s)",
         flush=True,
     )
-    stop = threading.Event()
-    threads = []
-    for index in range(args.local_workers):
-        local = Worker(
-            HttpClient(server.url), info={"local": True, "index": index}
-        )
-        thread = threading.Thread(
-            target=local.run, kwargs={"stop": stop}, daemon=True
-        )
-        threads.append(thread)
-        thread.start()
     if args.local_workers:
         print(f"spawned {args.local_workers} local worker(s)", flush=True)
     try:
-        if args.campaigns > 0:
-            import time as _time
-
-            while True:
-                campaigns = coordinator.campaigns()
-                done = sum(1 for c in campaigns if c["status"] == "done")
-                if done >= args.campaigns:
-                    # Wind down the local workers (their lease polling
-                    # would otherwise never let the API go quiet), then
-                    # linger until clients finish draining results: a
-                    # `submit --wait` still has result/report reads in
-                    # flight when its campaign completes.
-                    stop.set()
-                    if _time.monotonic() - server.last_request > 1.0:
-                        print(
-                            f"served {done} campaign(s); shutting down",
-                            flush=True,
-                        )
-                        break
-                    _time.sleep(0.1)
-                else:
-                    stop.wait(0.2)
-        else:
-            while not stop.wait(3600.0):
-                pass
+        while args.campaigns <= 0:  # serve until interrupted
+            time.sleep(3600.0)
+        while True:
+            campaigns = service.coordinator.campaigns()
+            done = sum(1 for c in campaigns if c["status"] == "done")
+            if done < args.campaigns:
+                time.sleep(0.2)
+                continue
+            # Wind down the local workers (their lease polling would
+            # otherwise never let the API go quiet), then linger until
+            # clients finish draining results: a `submit --wait` still
+            # has result/report reads in flight when its campaign
+            # completes.
+            service.stop_workers()
+            if time.monotonic() - service.server.last_request > 1.0:
+                print(f"served {done} campaign(s); shutting down", flush=True)
+                break
+            time.sleep(0.1)
     except KeyboardInterrupt:
         print("interrupted; shutting down", file=sys.stderr)
     finally:
-        stop.set()
-        for thread in threads:
-            thread.join(timeout=10.0)
-        server.shutdown()
-        server.server_close()
+        service.close()
     return 0
 
 

@@ -11,7 +11,11 @@ fires or the budget is exhausted.  Every execution is one
 :func:`run_schedule` call.  Executions are independent, so they fan out
 over the :class:`repro.harness.sweep.SweepRunner` process pool in
 chunks (with early exit between chunks) and per-execution outcomes land
-in the sweep result cache like any other seeded experiment.
+in the sweep result cache like any other seeded experiment.  The search
+never forks snapshots: its schedules rarely share a long decision
+prefix, and one sequential process tree cost more than the pool saved.
+The snapshot engine serves :meth:`Explorer.evaluate`, whose shrink
+probes differ from one another by one removed preemption.
 """
 
 from __future__ import annotations
@@ -58,9 +62,6 @@ class ExplorationResult:
     executions: list[ExecutionOutcome]
     #: First failing execution (``None`` if the budget ran dry).
     found: ExecutionOutcome | None = None
-    #: :class:`repro.snapshot.SnapshotStats` when the exploration ran
-    #: through the snapshot/fork engine (``None`` otherwise).
-    snapshots: Any = None
 
     @property
     def executions_used(self) -> int:
@@ -148,7 +149,7 @@ class Explorer:
         self.sweep = sweep or SweepRunner()
         self.predicate = predicate
         #: Optional :class:`repro.snapshot.SnapshotEngine`; when active,
-        #: explore/shrink executions fork from the deepest
+        #: :meth:`evaluate` (shrink's probes) forks from the deepest
         #: shared-prefix holder instead of replaying from t=0.
         self.snapshots = snapshots
         self._horizon: int | None = None
@@ -225,10 +226,10 @@ class Explorer:
     def explore(self, budget: int = 40) -> ExplorationResult:
         """Evaluate up to *budget* schedules; stop at the first failure."""
         horizon = self.horizon
-        engine = self._engine()
         name = f"explore-{self.strategy.name}"
         outcomes: list[ExecutionOutcome] = []
         found: ExecutionOutcome | None = None
+        spec_dict = self.spec.to_dict()
         chunk = max(self.sweep.workers, 4)
         for start in range(0, budget, chunk):
             indices = range(start, min(start + chunk, budget))
@@ -236,17 +237,12 @@ class Explorer:
                 self.strategy.schedule_for(index, self.spec.seeds[0], horizon)
                 for index in indices
             ]
-            if engine is not None:
-                batch = self.sweep.run_forked(
-                    engine, schedules, self._forked_job, name=name
-                )
-            else:
-                batch = self.sweep.run(
-                    partial(_summary, self.spec),
-                    [schedule.to_dict() for schedule in schedules],
-                    name=name,
-                    params={"spec": self.spec.to_dict()},
-                )
+            batch = self.sweep.run(
+                partial(_summary, self.spec),
+                [schedule.to_dict() for schedule in schedules],
+                name=name,
+                params={"spec": spec_dict},
+            )
             for index, schedule, seed_outcome in zip(
                 indices, schedules, batch.outcomes
             ):
@@ -274,5 +270,4 @@ class Explorer:
             horizon=horizon,
             executions=outcomes,
             found=found,
-            snapshots=engine.stats if engine is not None else None,
         )

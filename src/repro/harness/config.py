@@ -9,12 +9,10 @@ frozen, JSON-round-trippable value consumed uniformly by
 :class:`SweepRunner`, the figure/extension drivers and every seeded CLI
 subcommand.
 
-Serialization speaks two formats: ``scenario-spec/v2`` carries the
-``app``/``network``/``topology`` fields; any spec expressible in the
-flattened v1 shape (the brake app on the trivial topology) writes
-byte-identical ``scenario-spec/v1`` documents, so committed spec files
-and service submissions keep resolving to the same experiments.  Both
-formats load.
+Every spec writes ``scenario-spec/v2``, which carries the
+``app``/``network``/``topology`` fields.  The flattened
+``scenario-spec/v1`` documents older brake specs were saved as still
+load (as the brake app with no topology).
 
 :func:`run_scenario_spec` is the picklable worker the sweep engine fans
 out, and the only way a seed runs: ``SweepRunner().run_spec(spec)``
@@ -207,9 +205,8 @@ class ScenarioSpec:
 
         ``spec-<variant>`` for the brake app, ``spec-<app>-<variant>``
         otherwise, or the spec's label when it has one.  The name is
-        only one part of a cache key: the key also holds the spec's
-        JSON form and the :func:`~repro.harness.sweep.code_fingerprint`
-        of the whole ``repro`` tree, so no key outlives a code change.
+        not part of a result's cache key (see
+        :func:`~repro.harness.sweep.spec_record_key`).
         """
         if self.label:
             return self.label
@@ -228,24 +225,16 @@ class ScenarioSpec:
 
     # -- serialization ------------------------------------------------------
 
-    def _is_v1_expressible(self) -> bool:
-        """Whether the legacy flattened format can carry this spec."""
-        return self.app == "brake" and self.topology is None
-
     def to_dict(self) -> dict:
-        """JSON form; v1-expressible specs keep the v1 byte layout.
-
-        The v1 emission path must stay byte-identical for existing
-        specs: sweep-cache keys, the result store and the submit
-        protocol all hash this dict.
-        """
-        definition = self.definition()
-        common = {
+        """JSON form, ``scenario-spec/v2``."""
+        return {
+            "format": "scenario-spec/v2",
+            "app": self.app,
             "variant": self.variant,
             "seeds": list(self.seeds),
-            "scenario": definition.dump_scenario(self.scenario),
-        }
-        tail = {
+            "scenario": self.definition().dump_scenario(self.scenario),
+            "network": self.network.to_dict(),
+            "topology": None if self.topology is None else self.topology.to_dict(),
             "stp": (
                 None
                 if self.stp is None
@@ -257,21 +246,6 @@ class ScenarioSpec:
             "observe": self.observe,
             "faults": None if self.faults is None else self.faults.to_dict(),
             "label": self.label,
-        }
-        if self._is_v1_expressible():
-            return {
-                "format": "scenario-spec/v1",
-                **common,
-                **self.network.to_dict(),
-                **tail,
-            }
-        return {
-            "format": "scenario-spec/v2",
-            "app": self.app,
-            **common,
-            "network": self.network.to_dict(),
-            "topology": None if self.topology is None else self.topology.to_dict(),
-            **tail,
         }
 
     @classmethod

@@ -10,12 +10,16 @@ builds its own :class:`~repro.sim.World`, so per-seed results (including
 trace fingerprints) do not depend on scheduling across seeds.
 
 Results are cached on disk in a :class:`ResultStore`, one sqlite file
-under ``.repro_cache/``, keyed by experiment name + parameters + seed +
-a fingerprint of the ``repro`` source tree, so repeated CLI/benchmark
-invocations skip already-computed seeds.  ``force=True`` recomputes and
+under ``.repro_cache/``, so repeated CLI/benchmark invocations skip
+already-computed seeds.  A seed of a :class:`~repro.harness.ScenarioSpec`
+is keyed by :func:`spec_record_key`: the spec's content (its dict minus
+``seeds`` and ``label``) + the seed + a fingerprint of the ``repro``
+source tree.  Any other sweep is keyed by experiment name + parameters +
+seed + the code and driver fingerprints.  ``force=True`` recomputes and
 overwrites; ``use_cache=False`` bypasses the cache entirely.  The sweep
 service (:mod:`repro.service`) keeps its campaign results in the same
-class.
+class under the same spec keys, and ``repro serve`` defaults to the same
+directory, so the CLI and the service share one store.
 
 Environment knobs:
 
@@ -61,6 +65,8 @@ __all__ = [
     "code_fingerprint",
     "driver_fingerprint",
     "default_workers",
+    "spec_record_key",
+    "spec_record_keys",
 ]
 
 DEFAULT_CACHE_DIR = ".repro_cache"
@@ -298,6 +304,53 @@ def _jsonable_seed(seed: Any) -> Any:
     if isinstance(seed, (tuple, list)):
         return [_jsonable_seed(item) for item in seed]
     return repr(seed)
+
+
+#: Fields of a spec dict that name rather than parameterize the
+#: experiment; excluded from content addressing.
+_NON_CONTENT_FIELDS = ("seeds", "label")
+
+
+def spec_record_keys(
+    spec: Any, seeds: Iterable[Any], *, flows: bool = False
+) -> list[str]:
+    """Content keys of *seeds*' results under *spec*, in seed order.
+
+    *spec* is a :class:`~repro.harness.ScenarioSpec` or its ``to_dict()``
+    form, hashed once for all seeds.  ``seeds`` and ``label`` are
+    excluded, so a key depends only on what is computed — app, variant,
+    scenario, network, topology, STP bounds, observation, fault plan —
+    plus the seed and :func:`code_fingerprint`: two sweeps or campaigns
+    that ask the same question share results however their seed lists
+    are chunked, grown or named.  *flows* (a run with causal flow
+    capture, see :meth:`SweepRunner.run_spec`) keys a distinct result.
+    """
+    data = spec.to_dict() if hasattr(spec, "to_dict") else dict(spec)
+    content = {
+        name: value
+        for name, value in data.items()
+        if name not in _NON_CONTENT_FIELDS
+    }
+    if flows:
+        content["flows"] = True
+    base = hashlib.sha256(
+        json.dumps(
+            {"spec": content, "code": code_fingerprint()},
+            sort_keys=True,
+            default=repr,
+        ).encode()
+    )
+    keys = []
+    for seed in seeds:
+        digest = base.copy()
+        digest.update(json.dumps(_jsonable_seed(seed)).encode())
+        keys.append(digest.hexdigest()[:32])
+    return keys
+
+
+def spec_record_key(spec: Any, seed: Any, *, flows: bool = False) -> str:
+    """Content key of one seed's result (see :func:`spec_record_keys`)."""
+    return spec_record_keys(spec, (seed,), flows=flows)[0]
 
 
 class ResultStore:
@@ -551,6 +604,7 @@ class SweepRunner:
         *,
         name: str,
         params: dict | None = None,
+        keys: Sequence[str] | None = None,
     ) -> SweepResult:
         """Run *experiment* for every seed; outcomes in seed order.
 
@@ -558,14 +612,20 @@ class SweepRunner:
         traceback — the sweep always completes.  Call
         :meth:`SweepResult.values` to get plain values (raising a
         single aggregate :class:`SweepError` if anything failed).
+
+        Each seed's result is stored under ``keys[i]`` when *keys* is
+        given (:meth:`run_spec` passes content keys), else under a hash
+        of *name*, *params*, the seed and the code and driver
+        fingerprints.
         """
         seeds = list(seeds)
-        params = dict(params or {})
         started = time.perf_counter()
         outcomes: list[SeedOutcome | None] = [None] * len(seeds)
 
-        driver = driver_fingerprint(experiment)
-        keys = [self._key(name, params, seed, driver) for seed in seeds]
+        if keys is None:
+            params = dict(params or {})
+            driver = driver_fingerprint(experiment)
+            keys = [self._key(name, params, seed, driver) for seed in seeds]
         reuse = self.use_cache and not self.force
         known = self.cache.get_many(keys) if reuse else {}
         pending: list[int] = []
@@ -656,65 +716,16 @@ class SweepRunner:
         """Shorthand: :meth:`run` then :meth:`SweepResult.values`."""
         return self.run(experiment, seeds, name=name, params=params).values()
 
-    def run_forked(
-        self,
-        engine,
-        items: Iterable[Any],
-        job: Callable[[Any], tuple[str, Any, Callable[[Any], Any]]],
-        *,
-        name: str,
-    ) -> SweepResult:
-        """Run *items* through a :class:`repro.snapshot.SnapshotEngine`.
-
-        *job(item)* returns ``(context, decisions, run)`` for
-        :meth:`~repro.snapshot.SnapshotEngine.execute`.  Unlike
-        :meth:`run`, the executions share one copy-on-write process
-        tree, so they run sequentially in item order and bypass the
-        result cache — the engine's shared-prefix forks replace both
-        parallelism and caching as the speed lever.  Outcomes land in
-        :attr:`stats` like any other sweep.
-        """
-        from repro.snapshot.engine import RemoteRunError
-
-        items = list(items)
-        started = time.perf_counter()
-        outcomes: list[SeedOutcome] = []
-        for item in items:
-            context, decisions, run = job(item)
-            item_started = time.perf_counter()
-            try:
-                value = engine.execute(context, decisions, run)
-                error = None
-            except RemoteRunError as exc:
-                value, error = None, str(exc)
-            except Exception:
-                value, error = None, traceback.format_exc()
-            outcomes.append(
-                SeedOutcome(
-                    item,
-                    value,
-                    error,
-                    elapsed_s=time.perf_counter() - item_started,
-                )
-            )
-        result = SweepResult(
-            name=name,
-            outcomes=outcomes,
-            elapsed_s=time.perf_counter() - started,
-            workers=1,
-        )
-        self.stats.record(result)
-        return result
-
     def run_spec(self, spec, *, flows: bool = False) -> SweepResult:
         """Sweep a :class:`repro.harness.ScenarioSpec` over its seeds.
 
-        The spec's full JSON form is the cache parameter set, so any
-        change to the scenario, network, STP bounds or fault plan is a
-        distinct cache entry.  *flows* runs every seed with causal flow
-        capture (see :func:`~repro.harness.config.run_scenario_spec`)
-        under the sweep name ``<spec name>-flows``, so flow results and
-        plain results of the same spec never share a cache key.
+        Seed *s* is stored under ``spec_record_key(spec, s)``, the
+        sweep service's key, so a seed computed here is a store hit for
+        a campaign of the same spec and the reverse, and growing or
+        relabelling the seed list keeps the old seeds' results.  *flows*
+        runs every seed with causal flow capture (see
+        :func:`~repro.harness.config.run_scenario_spec`) under its own
+        keys and the sweep name ``<spec name>-flows``.
         """
         from repro.harness.config import run_scenario_spec
 
@@ -722,5 +733,5 @@ class SweepRunner:
             partial(run_scenario_spec, spec=spec, flows=flows),
             spec.seeds,
             name=spec.sweep_name() + ("-flows" if flows else ""),
-            params={"spec": spec.to_dict()},
+            keys=spec_record_keys(spec, spec.seeds, flows=flows),
         )

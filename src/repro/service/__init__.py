@@ -8,8 +8,9 @@ fleet, the workload shape of the paper's evaluation (100k-frame ×
 * :mod:`repro.service.store` — content addressing for campaign
   results: records keyed on spec-hash × code-fingerprint in the sweep
   cache's sqlite :class:`~repro.harness.sweep.ResultStore`, which lives
-  on the coordinator's host, so a re-submitted campaign is a pure cache
-  hit however it is chunked or named.
+  on the coordinator's host, so a re-submitted campaign — or one whose
+  seeds a local ``SweepRunner.run_spec`` already computed — is a pure
+  cache hit however it is chunked or named.
 * :mod:`repro.service.coordinator` — accepts
   :class:`~repro.harness.ScenarioSpec` campaign submissions, shards
   them into per-seed-chunk jobs and runs the job queue: lease/heartbeat
@@ -50,7 +51,6 @@ from repro.service.coordinator import (
 )
 from repro.service.http import (
     HttpClient,
-    LocalClient,
     LocalService,
     ServiceError,
     ServiceServer,
@@ -70,7 +70,6 @@ __all__ = [
     "CoordinatorConfig",
     "HttpClient",
     "Job",
-    "LocalClient",
     "LocalService",
     "ResultStore",
     "ServiceError",

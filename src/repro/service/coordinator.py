@@ -37,9 +37,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.harness.config import ScenarioSpec
-from repro.harness.sweep import code_fingerprint
+from repro.harness.sweep import code_fingerprint, spec_record_keys
 from repro.obs import fleet
-from repro.service.store import ResultStore, spec_record_key
+from repro.service.store import ResultStore
 
 __all__ = ["Coordinator", "CoordinatorConfig", "Campaign", "Job"]
 
@@ -248,7 +248,7 @@ class Coordinator:
                 spec.to_json().encode()
             ).hexdigest()[:8]
             campaign_id = f"c{self._counter}-{spec_hash}"
-            keys = [spec_record_key(spec, seed) for seed in spec.seeds]
+            keys = spec_record_keys(spec, spec.seeds)
             campaign = Campaign(
                 campaign_id=campaign_id,
                 spec=spec,

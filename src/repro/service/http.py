@@ -7,7 +7,7 @@ dependencies.  Every response is a JSON object carrying
 Client-facing endpoints::
 
     GET  /v1/ping               liveness + protocol version
-    POST /v1/submit             {"spec": <scenario-spec/v1>} -> status
+    POST /v1/submit             {"spec": <scenario-spec/v2>} -> status
     GET  /v1/status/<campaign>  campaign progress counts
     GET  /v1/result/<campaign>  merged wire outcomes in seed order
     GET  /v1/report/<campaign>  full post-mortem (jobs, retries, store)
@@ -22,11 +22,14 @@ Worker-facing endpoints (the lease protocol)::
     POST /v1/complete           {"worker": id, "job": id, "outcomes": [...]}
     POST /v1/fail               {"worker": id, "job": id, "error": str}
 
-:class:`HttpClient` and :class:`LocalClient` expose the same method
-surface, so :class:`~repro.service.worker.Worker` and the CLI are
-transport-agnostic.  :class:`LocalService` is the one-host mode: a real
-HTTP server on loopback plus N in-process worker threads talking to it
-over HTTP — the full distributed path, exercisable in any test.
+:class:`HttpClient` exposes the coordinator's worker-facing methods
+(``register``/``lease``/``heartbeat``/``complete``/``fail``) with the
+:class:`Coordinator`'s own signatures, so a
+:class:`~repro.service.worker.Worker` runs against either: over HTTP,
+or in process against the coordinator itself.  :class:`LocalService` is
+the one-host mode (and ``repro serve``): a real HTTP server plus N
+in-process worker threads talking to it over HTTP — the full
+distributed path, exercisable in any test.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from repro.service.store import ResultStore
 
 __all__ = [
     "HttpClient",
-    "LocalClient",
     "LocalService",
     "ServiceError",
     "ServiceServer",
@@ -429,85 +431,13 @@ class ServiceError(RuntimeError):
         super().__init__(f"[{status}] {message}")
 
 
-class LocalClient:
-    """The same client surface, directly against an in-process
-    :class:`Coordinator` — no sockets, for unit tests and benchmarks."""
-
-    def __init__(self, coordinator: Coordinator):
-        self.coordinator = coordinator
-
-    def ping(self) -> bool:
-        return True
-
-    def connect(self, timeout_s: float = 0.0, poll_s: float = 0.0) -> None:
-        pass
-
-    def submit(self, spec: ScenarioSpec) -> dict:
-        return self.coordinator.submit(spec)
-
-    def status(self, campaign_id: str) -> dict:
-        return self.coordinator.status(campaign_id)
-
-    def result(self, campaign_id: str) -> dict:
-        return self.coordinator.result(campaign_id)
-
-    def report(self, campaign_id: str) -> dict:
-        return self.coordinator.report(campaign_id)
-
-    def campaigns(self) -> list[dict]:
-        return self.coordinator.campaigns()
-
-    def workers(self) -> list[dict]:
-        return self.coordinator.workers()
-
-    def metrics_text(self) -> str:
-        return fleet.prometheus_text()
-
-    def wait(
-        self, campaign_id: str, timeout_s: float = 600.0, poll_s: float = 0.05
-    ) -> dict:
-        deadline = time.monotonic() + timeout_s
-        while True:
-            result = self.coordinator.result(campaign_id)
-            if result.get("status") == "done":
-                return result
-            if time.monotonic() >= deadline:
-                raise TimeoutError(f"campaign {campaign_id} timed out")
-            time.sleep(poll_s)
-
-    def register(self, info: dict | None = None) -> str:
-        return self.coordinator.register(info)
-
-    def lease(self, worker_id: str) -> dict | None:
-        return self.coordinator.lease(worker_id)
-
-    def heartbeat(self, worker_id: str, job_id: str) -> dict:
-        return self.coordinator.heartbeat(worker_id, job_id)
-
-    def complete(
-        self,
-        worker_id: str,
-        job_id: str,
-        outcomes: list[dict],
-        exec_info: dict | None = None,
-        telemetry: dict | None = None,
-    ) -> dict:
-        return self.coordinator.complete(
-            worker_id, job_id, outcomes,
-            exec_info=exec_info, telemetry=telemetry,
-        )
-
-    def fail(self, worker_id: str, job_id: str, error: str) -> dict:
-        return self.coordinator.fail(worker_id, job_id, error)
-
-
 # ---------------------------------------------------------------------------
 # Local mode: full HTTP path on one host.
 # ---------------------------------------------------------------------------
 
 
 class LocalService:
-    """Coordinator + HTTP API + N in-process workers, on loopback.
+    """Coordinator + HTTP API + N in-process workers on one host.
 
     The workers are threads, but they speak to the coordinator over the
     real HTTP API — registration, leases, heartbeats, completion — so a
@@ -565,6 +495,11 @@ class LocalService:
     def run_spec(self, spec: ScenarioSpec, timeout_s: float = 600.0) -> list[Any]:
         """Submit, wait, and decode — the service-side ``run_spec``."""
         return merged_values(self.submit_and_wait(spec, timeout_s=timeout_s))
+
+    def stop_workers(self) -> None:
+        """Tell the workers to exit after their current job; the HTTP
+        API keeps serving until :meth:`close`."""
+        self._stop.set()
 
     def close(self) -> None:
         self._stop.set()

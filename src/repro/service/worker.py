@@ -21,8 +21,8 @@ import socket
 import threading
 import time
 import traceback
-from contextlib import nullcontext
-from typing import Any, Callable
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator
 
 try:
     import resource
@@ -37,11 +37,59 @@ __all__ = ["Worker", "execute_job"]
 
 log = logging.getLogger("repro.service.worker")
 
-#: Observed jobs run one at a time per process: the observation handle
-#: is process-global (see :mod:`repro.obs.context`), so two observed
-#: seeds on two worker threads would record into each other's metrics.
-#: Unobserved jobs never take it.
-_OBSERVED_JOBS = threading.Lock()
+
+class _ObservationGate:
+    """A reader/writer gate between observed and unobserved jobs.
+
+    The observation handle is process-global (see
+    :mod:`repro.obs.context`): while an observed job runs, every obs
+    site in the process records into it, so an unobserved seed on
+    another worker thread would add to its metrics and a second
+    observed job would mix with it.  An observed job therefore runs
+    alone (:meth:`exclusive`): it waits for running unobserved jobs to
+    drain and blocks new ones from starting.  Unobserved jobs
+    (:meth:`shared`) run concurrently with each other.  The gate sits
+    around whole jobs, so obs sites stay one global load plus one
+    attribute check.
+    """
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition()
+        self._shared = 0
+        self._exclusive = False
+        self._exclusive_waiting = 0
+
+    @contextmanager
+    def shared(self) -> Iterator[None]:
+        with self._cond:
+            while self._exclusive or self._exclusive_waiting:
+                self._cond.wait()
+            self._shared += 1
+        try:
+            yield
+        finally:
+            with self._cond:
+                self._shared -= 1
+                if not self._shared:
+                    self._cond.notify_all()
+
+    @contextmanager
+    def exclusive(self) -> Iterator[None]:
+        with self._cond:
+            self._exclusive_waiting += 1
+            while self._exclusive or self._shared:
+                self._cond.wait()
+            self._exclusive_waiting -= 1
+            self._exclusive = True
+        try:
+            yield
+        finally:
+            with self._cond:
+                self._exclusive = False
+                self._cond.notify_all()
+
+
+_JOB_GATE = _ObservationGate()
 
 
 def _rusage() -> tuple[float, int]:
@@ -59,11 +107,12 @@ def execute_job(job: dict, runner: SweepRunner | None = None) -> list[dict]:
     The chunk spec is the campaign spec re-seeded with the job's seeds,
     so the execution path — and therefore every byte of every per-seed
     result — is exactly what ``SweepRunner.run_spec`` produces locally.
-    Observed specs run behind :data:`_OBSERVED_JOBS`.
+    Observed specs run alone in the process, unobserved ones together
+    (see :class:`_ObservationGate`).
     """
     spec = ScenarioSpec.from_dict(job["spec"]).with_seeds(job["seeds"])
     runner = runner or SweepRunner(workers=1, use_cache=False)
-    with _OBSERVED_JOBS if spec.observe else nullcontext():
+    with _JOB_GATE.exclusive() if spec.observe else _JOB_GATE.shared():
         result = runner.run_spec(spec)
     outcomes = []
     for outcome in result.outcomes:
@@ -87,9 +136,10 @@ def execute_job(job: dict, runner: SweepRunner | None = None) -> list[dict]:
 class Worker:
     """The lease/execute/report loop around a coordinator client.
 
-    *client* is anything with the coordinator's worker-facing methods —
+    *client* is anything with the coordinator's worker-facing methods
+    (``register``/``lease``/``heartbeat``/``complete``/``fail``) —
     :class:`~repro.service.http.HttpClient` for a remote coordinator,
-    :class:`~repro.service.http.LocalClient` for an in-process one.
+    or the :class:`~repro.service.coordinator.Coordinator` itself.
     """
 
     def __init__(

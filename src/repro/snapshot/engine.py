@@ -337,7 +337,7 @@ class SnapshotEngine:
                 stats.misses += 1
                 envelope = self._run_cold(context, plan, run)
             else:
-                envelope = self._run_forked(holder, decisions, plan)
+                envelope = self._run_from_holder(holder, decisions, plan)
         finally:
             self._drain_registrations()
             if self.write_ledger:
@@ -403,7 +403,7 @@ class SnapshotEngine:
             os.waitpid(pid, 0)
         return self._with_start(envelope, started_ns)
 
-    def _run_forked(self, holder: _Holder, decisions: Any, plan: dict[int, str]):
+    def _run_from_holder(self, holder: _Holder, decisions: Any, plan: dict[int, str]):
         result_read, result_write = os.pipe()
         started_ns = time.monotonic_ns()
         try:

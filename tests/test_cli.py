@@ -117,6 +117,21 @@ class TestExplore:
         assert main(["explore", "--replay", str(trace), "--no-cache"]) == 0
         assert "seed 7, 30 frames" in capsys.readouterr().out
 
+    def test_search_runs_on_the_pool_and_reruns_from_the_cache(
+        self, tmp_path, capsys
+    ):
+        argv = [
+            "explore", "--strategy", "random", "--budget", "4",
+            "--frames", "10", "--workers", "2", "--cache-dir", str(tmp_path),
+        ]
+        assert main(argv) in (0, 1)
+        first = capsys.readouterr().err
+        assert re.search(r"sweep: 4 seeds .*0 cache hits, 0 errors, 2 workers", first)
+        assert main(argv) in (0, 1)
+        second = capsys.readouterr().err
+        assert "sweep: 4 seeds" in second
+        assert "4 cache hits" in second
+
     def test_replay_of_a_trace_without_a_spec_exits(self, tmp_path):
         from repro.explore import DecisionTrace
 

@@ -29,7 +29,6 @@ from repro.service import (
     Coordinator,
     CoordinatorConfig,
     HttpClient,
-    LocalClient,
     LocalService,
     ResultStore,
     ServiceError,
@@ -293,17 +292,83 @@ class TestCoordinatorQueue:
             coordinator.status("c999-deadbeef")
 
 
-class TestLocalClientWorker:
-    def test_worker_drains_queue_via_local_client(self, tmp_path):
+class TestInProcessWorker:
+    def test_worker_drains_queue_via_coordinator(self, tmp_path):
         config = CoordinatorConfig(chunk_size=3, lease_ttl_s=5.0)
         coordinator = Coordinator(ResultStore(tmp_path / "store"), config)
-        client = LocalClient(coordinator)
         spec = make_spec(seeds=(0, 1, 2, 3), frames=30)
-        status = client.submit(spec)
-        completed = Worker(client, poll_interval_s=0.01).run(max_jobs=2)
+        status = coordinator.submit(spec)
+        completed = Worker(coordinator, poll_interval_s=0.01).run(max_jobs=2)
         assert completed == 2
-        result = client.wait(status["campaign"], timeout_s=5.0)
+        result = coordinator.result(status["campaign"])
         assert_byte_identical(merged_values(result), local_reference(spec))
+
+
+class TestObservationGate:
+    """Observed and unobserved jobs on one worker process."""
+
+    def test_unobserved_job_waits_out_an_observed_one(self, monkeypatch):
+        """An unobserved job leased while an observed one runs cannot
+        record into the observed job's metrics."""
+        import repro.harness.config as config_module
+        from repro.harness.config import observe_spec
+        from repro.service.worker import execute_job
+
+        observed = replace(make_spec(seeds=(0,), frames=12), observe=True)
+        unobserved = make_spec(seeds=(1,), frames=12)
+        observed_running = threading.Event()
+        unobserved_done = threading.Event()
+        real_execute = config_module._execute
+
+        def paused_execute(seed, spec, *args, **kwargs):
+            if spec.observe:  # inside the observed job's capture
+                observed_running.set()
+                # Without the gate the unobserved job runs to completion
+                # here; with it, it cannot start until this job ends.
+                unobserved_done.wait(timeout=1.0)
+            return real_execute(seed, spec, *args, **kwargs)
+
+        monkeypatch.setattr(config_module, "_execute", paused_execute)
+
+        def run_unobserved():
+            observed_running.wait(timeout=30)
+            execute_job({"spec": unobserved.to_dict(), "seeds": [1]})
+            unobserved_done.set()
+
+        other = threading.Thread(target=run_unobserved)
+        other.start()
+        try:
+            [wire] = execute_job({"spec": observed.to_dict(), "seeds": [0]})
+        finally:
+            other.join(timeout=60)
+        assert unobserved_done.is_set()
+        monkeypatch.setattr(config_module, "_execute", real_execute)
+        served = seed_outcomes(
+            {"status": "done", "outcomes": [wire]}
+        )[0].value.fault_summary["metrics"]
+        observation, _ = observe_spec(0, observed)
+        assert served == observation.metrics.snapshot()
+
+    def test_unobserved_jobs_share_the_gate(self):
+        from repro.service.worker import _ObservationGate
+
+        gate = _ObservationGate()
+        both_inside = threading.Barrier(2, timeout=30)
+        errors = []
+
+        def unobserved_job():
+            with gate.shared():
+                try:
+                    both_inside.wait()
+                except threading.BrokenBarrierError as exc:
+                    errors.append(exc)
+
+        threads = [threading.Thread(target=unobserved_job) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert errors == []
 
 
 class TestHttpApi:

@@ -231,6 +231,51 @@ class TestFlowSweepCache:
         assert second.cache_hits == second.seeds
 
 
+class TestSpecResultKeys:
+    """Every spec result is keyed by ``spec_record_key``."""
+
+    def _spec(self, seeds=range(4), label=""):
+        from repro.harness import ScenarioSpec
+
+        return ScenarioSpec(
+            seeds=tuple(seeds), scenario=BrakeScenario(n_frames=8), label=label
+        )
+
+    def test_growing_the_seed_list_keeps_the_old_seeds(self, tmp_path):
+        sweep = SweepRunner(workers=1, cache_dir=tmp_path)
+        assert sweep.run_spec(self._spec(range(4))).cache_hits == 0
+        grown = sweep.run_spec(self._spec(range(6)))
+        assert [o.cached for o in grown.outcomes] == [True] * 4 + [False] * 2
+        assert ResultStore(tmp_path).stats()["records"] == 6
+
+    def test_relabelling_keeps_the_results(self, tmp_path):
+        sweep = SweepRunner(workers=1, cache_dir=tmp_path)
+        sweep.run_spec(self._spec())
+        assert sweep.run_spec(self._spec(label="renamed")).cache_hits == 4
+
+    def test_sweep_results_are_campaign_store_hits(self, tmp_path):
+        from repro.service import Coordinator
+
+        spec = self._spec()
+        SweepRunner(workers=1, cache_dir=tmp_path).run_spec(spec)
+        status = Coordinator(ResultStore(tmp_path)).submit(spec)
+        assert status["cached"] == len(spec.seeds)
+        assert status["jobs"] == 0
+
+    def test_campaign_results_are_sweep_cache_hits(self, tmp_path):
+        from repro.service import Coordinator, Worker, merged_values
+
+        spec = self._spec()
+        coordinator = Coordinator(ResultStore(tmp_path))
+        status = coordinator.submit(spec)
+        assert status["cached"] == 0
+        Worker(coordinator, poll_interval_s=0.01).run(max_jobs=status["jobs"])
+        served = merged_values(coordinator.result(status["campaign"]))
+        local = SweepRunner(workers=1, cache_dir=tmp_path).run_spec(spec)
+        assert local.cache_hits == len(spec.seeds)
+        assert local.values() == served
+
+
 def _load_external_driver(path):
     import importlib.util
     import sys
