@@ -1,8 +1,10 @@
 """SNAPSHOT — copy-on-write forks must beat from-scratch replay ≥ 3×.
 
-The campaign mirrors how explore/ddmin actually spend their budget: N
-PCT-style schedules sharing an identical 80% preemption prefix and
-diverging only in one tail point.  From scratch every run costs O(T);
+The campaign measures the engine's raw fork-versus-replay cost on a
+synthetic workload: N PCT-style schedules sharing an identical 80%
+preemption prefix and diverging only in one tail point (the exploration
+search itself runs on the process pool, not the engine; the ddmin
+shrink pass below is the live consumer).  From scratch every run costs O(T);
 through the snapshot engine run 0 captures holders along the prefix and
 every later run forks the deepest shared-prefix holder, paying only its
 own suffix — O(ΔT).  Recorded to ``BENCH_snapshot.json``:

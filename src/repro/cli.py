@@ -360,12 +360,18 @@ def build_parser() -> argparse.ArgumentParser:
              "campaigns over HTTP (sweep-service/v1), shard them into "
              "seed-chunk jobs and queue them for the worker fleet",
     )
-    serve.add_argument("--host", default="127.0.0.1", help="bind address")
+    serve.add_argument(
+        "--host", default="127.0.0.1",
+        help="bind address (give a non-loopback one its own --store-dir)",
+    )
     _add_int(serve, "--port", 8765, "bind port (0 = ephemeral)")
     serve.add_argument(
         "--store-dir", default=None, metavar="DIR",
         help="shared content-addressed result store (default: the sweep "
-             "cache, REPRO_CACHE_DIR or .repro_cache)",
+             "cache, REPRO_CACHE_DIR or .repro_cache). Workers' results "
+             "land here and local sweeps sharing the directory load them "
+             "(pickled), so give a coordinator reachable by untrusted "
+             "peers its own directory",
     )
     _add_int(
         serve, "--local-workers", 0,
@@ -1141,12 +1147,10 @@ def _run_flows(args: argparse.Namespace, sweep) -> int:
 
 def _run_serve(args: argparse.Namespace) -> int:
     """``repro serve``: coordinator + HTTP API (+ optional local workers)."""
-    import os
-
-    from repro.harness.sweep import DEFAULT_CACHE_DIR
+    from repro.harness.sweep import resolve_cache_dir
     from repro.service import CoordinatorConfig, LocalService
 
-    store_dir = args.store_dir or os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
+    store_dir = resolve_cache_dir(args.store_dir)
     config = CoordinatorConfig(
         chunk_size=args.chunk_size,
         max_attempts=args.max_attempts,

@@ -65,11 +65,22 @@ __all__ = [
     "code_fingerprint",
     "driver_fingerprint",
     "default_workers",
+    "resolve_cache_dir",
     "spec_record_key",
     "spec_record_keys",
 ]
 
 DEFAULT_CACHE_DIR = ".repro_cache"
+
+
+def resolve_cache_dir(explicit: str | Path | None = None) -> str | Path:
+    """The result store's directory: *explicit*, else ``REPRO_CACHE_DIR``,
+    else :data:`DEFAULT_CACHE_DIR`.
+
+    The sweep cache and ``repro serve``'s default store both resolve
+    here, so they are one directory.
+    """
+    return explicit or os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
 
 
 def _cgroup_cpu_quota(root: str | Path = "/sys/fs/cgroup") -> int | None:
@@ -348,9 +359,9 @@ def spec_record_keys(
     return keys
 
 
-def spec_record_key(spec: Any, seed: Any, *, flows: bool = False) -> str:
+def spec_record_key(spec: Any, seed: Any) -> str:
     """Content key of one seed's result (see :func:`spec_record_keys`)."""
-    return spec_record_keys(spec, (seed,), flows=flows)[0]
+    return spec_record_keys(spec, (seed,))[0]
 
 
 class ResultStore:
@@ -573,10 +584,7 @@ class SweepRunner:
             use_cache = not os.environ.get("REPRO_NO_CACHE")
         self.use_cache = use_cache
         self.force = force
-        directory = cache_dir or os.environ.get(
-            "REPRO_CACHE_DIR", DEFAULT_CACHE_DIR
-        )
-        self.cache = ResultStore(directory)
+        self.cache = ResultStore(resolve_cache_dir(cache_dir))
         self.stats = SweepStats()
 
     # -- keying -------------------------------------------------------------
